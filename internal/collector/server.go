@@ -450,14 +450,12 @@ func (s *Server) tsPoller() {
 // sessionCounts tallies live sessions by state.
 func (s *Server) sessionCounts() (active, parked int) {
 	for _, sess := range s.snapshotSessions() {
-		sess.mu.Lock()
-		switch sess.state {
+		switch sessionState(sess.stateNow.Load()) {
 		case sessActive:
 			active++
 		case sessParked:
 			parked++
 		}
-		sess.mu.Unlock()
 	}
 	return active, parked
 }
@@ -482,12 +480,15 @@ func (s *Server) finalizeSessionLocked(sess *session, ingestErr error) FinalRepl
 	if err == nil {
 		sess.rep, sess.res, err = sess.pipe.Finish()
 	}
+	// The outcome is recorded; drop the pipeline so a retained finalized
+	// session does not keep its decoder, merger and shard state alive.
+	sess.pipe = nil
 	if err != nil {
-		sess.state = sessFailed
+		sess.setStateLocked(sessFailed)
 		sess.outErr = err
 		sess.rep, sess.res = nil, nil
 	} else {
-		sess.state = sessDone
+		sess.setStateLocked(sessDone)
 	}
 	sess.conn = nil
 	sess.backlog.Store(0)

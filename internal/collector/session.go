@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -54,6 +55,10 @@ type session struct {
 
 	mu    sync.Mutex
 	state sessionState
+	// stateNow mirrors state so the server's time-series poller can
+	// count sessions without waiting on mu, which a feed or the final
+	// pipeline drain may hold for a long time.
+	stateNow atomic.Int32
 	// gen is bumped on every attach; a connection goroutine only parks or
 	// finalizes the session if its generation is still current, so a
 	// takeover (producer reconnected while the old conn lingered) makes
@@ -67,7 +72,7 @@ type session struct {
 	reorder      map[uint64][]byte
 	reorderBytes int
 
-	pipe *literace.StreamSession
+	pipe *literace.StreamSession // nil once the session is finalized
 
 	frames     uint64
 	dupFrames  uint64
@@ -112,6 +117,12 @@ func newSession(srv *Server, name, module string) *session {
 	}
 }
 
+// setStateLocked moves the session to st; s.mu is held.
+func (s *session) setStateLocked(st sessionState) {
+	s.state = st
+	s.stateNow.Store(int32(st))
+}
+
 // attach binds a (re)connection to the session, kicking any lingering
 // previous connection, and returns the resume offset and this
 // connection's generation. Finalized sessions reject the attach.
@@ -131,7 +142,7 @@ func (s *session) attach(conn net.Conn) (next uint64, gen int, err error) {
 		}
 		s.reconnects++
 	case sessParked:
-		s.state = sessActive
+		s.setStateLocked(sessActive)
 		s.reconnects++
 	}
 	s.conn = conn
@@ -184,11 +195,18 @@ func (s *session) ingest(off uint64, payload []byte) error {
 	}
 }
 
+// errSessionFinalized rejects input that reaches a session after its
+// pipeline finished.
+var errSessionFinalized = errors.New("collector: session already finalized")
+
 // feedLocked pushes contiguous bytes into the pipeline and advances the
-// cursor.
+// cursor. A finalized session has no pipeline and rejects the bytes.
 func (s *session) feedLocked(b []byte) error {
 	if len(b) == 0 {
 		return nil
+	}
+	if s.pipe == nil {
+		return errSessionFinalized
 	}
 	err := s.pipe.Feed(b)
 	s.accepted += uint64(len(b))
@@ -295,7 +313,7 @@ func (s *session) park(gen int) {
 	if s.gen != gen || s.state != sessActive {
 		return
 	}
-	s.state = sessParked
+	s.setStateLocked(sessParked)
 	s.parkedAt = time.Now()
 	s.conn = nil
 	s.srv.rec.Anomaly(diag.AnomDisconnect, -1, s.accepted, 0)

@@ -311,7 +311,7 @@ func (d *Detector) thread(tid int32) *threadState {
 func (d *Detector) Process(e trace.Event) { d.process(&e) }
 
 // ProcessBatch consumes a pre-materialized event sequence in order. It
-// is equivalent to calling Process per element, minus one 48-byte
+// is equivalent to calling Process per element, minus one 40-byte
 // event copy per call — at tens of millions of events per second the
 // copies are a measurable tax on either engine.
 func (d *Detector) ProcessBatch(events []trace.Event) {

@@ -51,15 +51,58 @@ type Merger struct {
 	stalls, rounds, skips *obs.Counter
 }
 
-// mergeQueue is one thread's reorder buffer: the events that have
-// arrived but not yet been delivered.
+// mergeQueue is one thread's pending stream: read-only views of the
+// chunks that have arrived but not yet been delivered. evs is the chunk
+// being drained; later chunks wait in more[head:], in arrival order. A
+// queue whose evs is empty holds nothing.
 type mergeQueue struct {
 	tid         int32
 	evs         []trace.Event
 	pos         int
-	taken       uint64 // events already delivered and trimmed from evs
+	more        [][]trace.Event
+	head        int
+	taken       uint64 // events delivered from chunks before evs
+	added       uint64 // events ever added to the queue
 	suspectFrom uint64 // absolute per-thread index of the first suspect event
 	hasSuspect  bool
+}
+
+// push queues a non-empty chunk view. A chunk that continues the last
+// queued view in memory — batch replay's consecutive chunks of one
+// decoded thread slice — extends that view instead of taking a FIFO
+// slot, so queued views cost O(threads) rather than O(chunks).
+func (q *mergeQueue) push(evs []trace.Event) {
+	q.added += uint64(len(evs))
+	if len(q.evs) == 0 {
+		q.evs, q.pos = evs, 0
+		return
+	}
+	tail := &q.evs
+	if q.head < len(q.more) {
+		tail = &q.more[len(q.more)-1]
+	}
+	if n := len(*tail); cap(*tail)-n >= len(evs) && &(*tail)[:n+1][n] == &evs[0] {
+		*tail = (*tail)[:n+len(evs)]
+		return
+	}
+	q.more = append(q.more, evs)
+}
+
+// advance moves past the fully delivered current chunk to the next
+// queued one, releasing the view so its events can be collected.
+func (q *mergeQueue) advance() {
+	q.taken += uint64(len(q.evs))
+	q.evs, q.pos = nil, 0
+	if q.head == len(q.more) {
+		return
+	}
+	q.evs = q.more[q.head]
+	q.more[q.head] = nil
+	q.head++
+	if q.head == len(q.more) {
+		// The FIFO drained: reuse its capacity for later chunks.
+		q.more, q.head = q.more[:0], 0
+	}
 }
 
 // MergerOptions configures a Merger.
@@ -113,11 +156,15 @@ func (m *Merger) queue(tid int32) *mergeQueue {
 	return q
 }
 
-// Add appends one chunk of a thread's stream. suspectFrom is the index
+// Add queues one chunk of a thread's stream. suspectFrom is the index
 // within evs from which events follow a salvage loss (len(evs) or more
 // for "none", 0 for the whole chunk); once a thread turns suspect it
 // stays suspect. Adding to a finished merge returns ErrAddAfterFinish
 // and buffers nothing.
+//
+// The merger keeps evs itself as a read-only view, without copying it,
+// until every event in it has been delivered: the caller must not modify
+// evs after Add.
 func (m *Merger) Add(tid int32, evs []trace.Event, suspectFrom int) error {
 	if m.finished {
 		return ErrAddAfterFinish
@@ -128,9 +175,12 @@ func (m *Merger) Add(tid int32, evs []trace.Event, suspectFrom int) error {
 		if suspectFrom < 0 {
 			suspectFrom = 0
 		}
-		q.suspectFrom = q.taken + uint64(len(q.evs)) + uint64(suspectFrom)
+		q.suspectFrom = q.added + uint64(suspectFrom)
 	}
-	q.evs = append(q.evs, evs...)
+	if len(evs) == 0 {
+		return nil
+	}
+	q.push(evs)
 	m.remaining += len(evs)
 	if m.remaining > m.backlogHWM {
 		m.backlogHWM = m.remaining
@@ -212,20 +262,18 @@ func (m *Merger) Pump(fn func(trace.Event) error) error {
 					m.markDegraded()
 				}
 				q.pos++
+				if q.pos == len(q.evs) {
+					// The drain continues into the thread's next chunk
+					// within this round, exactly as if the chunks had
+					// arrived as one slice.
+					q.advance()
+				}
 				m.remaining--
 				m.delivered++
 				progressed = true
 				if err := fn(e); err != nil {
 					return err
 				}
-			}
-			// Trim the delivered prefix so a long-running stream does not
-			// hold every past event (the capacity stays warm for the next
-			// chunk).
-			if q.pos > 0 && q.pos == len(q.evs) {
-				q.taken += uint64(q.pos)
-				q.evs = q.evs[:0]
-				q.pos = 0
 			}
 		}
 		if !progressed {
@@ -263,7 +311,7 @@ func (m *Merger) Finish(fn func(trace.Event) error) error {
 		best := (*mergeQueue)(nil)
 		bestGap := uint64(0)
 		for _, q := range m.queues {
-			if q.pos >= len(q.evs) {
+			if len(q.evs) == 0 {
 				continue
 			}
 			e := q.evs[q.pos]
@@ -287,7 +335,7 @@ func (m *Merger) Finish(fn func(trace.Event) error) error {
 
 func (m *Merger) stuckError() error {
 	for _, q := range m.queues {
-		if q.pos < len(q.evs) {
+		if len(q.evs) > 0 {
 			e := q.evs[q.pos]
 			return fmt.Errorf("hb: replay stuck: thread %d waiting for counter %d ts %d (have %d); log is corrupt or incomplete",
 				q.tid, e.Counter, e.TS, m.next[e.Counter])

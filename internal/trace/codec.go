@@ -2,12 +2,15 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
+	"os"
 	"sort"
 	"sync"
 
@@ -416,59 +419,89 @@ func (l *Log) TIDs() []int32 {
 // number, and the metadata trailer verified) or the legacy LTRC1 format.
 // Any truncation, corruption, or gap is an error; use Salvage to extract
 // a best-effort log from damaged input.
+//
+// The whole input is read into one buffer first. A pass over the chunk
+// headers then verifies the framing and locates every thread chunk, and
+// a second pass decodes each thread into a single slice allocated once
+// at its final capacity, so no event is copied after it is decoded.
 func ReadAll(r io.Reader) (*Log, error) {
-	br := bufio.NewReader(r)
-	got := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, got); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
+	data, err := readInput(r)
+	if err != nil {
+		return nil, fmt.Errorf("trace: reading log: %w", err)
 	}
-	switch string(got) {
-	case magic:
-		return readAllV2(br)
-	case magicV1:
-		return readAllV1(br)
+	log := &Log{}
+	var chunks []threadChunk
+	switch {
+	case bytes.HasPrefix(data, []byte(magic)):
+		chunks, err = scanV2(data, log)
+	case bytes.HasPrefix(data, []byte(magicV1)):
+		chunks, err = scanV1(data, log)
+	case len(data) < len(magic):
+		return nil, fmt.Errorf("trace: reading magic: %w", io.ErrUnexpectedEOF)
+	default:
+		return nil, fmt.Errorf("trace: bad magic %q", data[:len(magic)])
 	}
-	return nil, fmt.Errorf("trace: bad magic %q", got)
+	if err != nil {
+		return nil, err
+	}
+	if err := decodeChunks(log, chunks); err != nil {
+		return nil, err
+	}
+	return log, nil
 }
 
-// readAllV2 strictly decodes the LTRC2 chunk stream.
-func readAllV2(br *bufio.Reader) (*Log, error) {
-	log := &Log{Threads: make(map[int32][]Event)}
+// readInput reads all of r. When r reports its size — Len() on an
+// in-memory reader, Stat() on a file — the buffer is allocated once at
+// that size (plus one byte, so the final EOF read needs no growth).
+func readInput(r io.Reader) ([]byte, error) {
+	size := 512
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		size = v.Len() + 1
+	case *os.File:
+		if fi, err := v.Stat(); err == nil && fi.Mode().IsRegular() && fi.Size() < math.MaxInt {
+			size = int(fi.Size()) + 1
+		}
+	}
+	buf := make([]byte, 0, size)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// threadChunk is one thread chunk's event payload: located and verified
+// by ReadAll's header pass, decoded by its second pass.
+type threadChunk struct {
+	tid     int32
+	payload []byte
+}
+
+// scanV2 strictly verifies the LTRC2 chunk stream in data — markers,
+// lengths, CRCs, sequence numbers, metadata — and returns the thread
+// chunks in byte order.
+func scanV2(data []byte, log *Log) ([]threadChunk, error) {
+	var chunks []threadChunk
 	sawMeta := false
 	lastSeq := make(map[int32]uint64)
-	for {
-		var mk [4]byte
-		if _, err := io.ReadFull(br, mk[:]); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, fmt.Errorf("trace: reading chunk marker: %w", err)
+	for off := len(magic); off < len(data); {
+		if !bytes.HasPrefix(data[off:], chunkMarker[:]) {
+			return nil, fmt.Errorf("trace: bad chunk marker at offset %d", off)
 		}
-		if mk != chunkMarker {
-			return nil, fmt.Errorf("trace: bad chunk marker % x", mk[:])
-		}
-		tag, err := binary.ReadUvarint(br)
+		tag, payload, end, _, err := parseChunkV2(data, off)
 		if err != nil {
-			return nil, fmt.Errorf("trace: reading chunk tag: %w", err)
+			return nil, fmt.Errorf("trace: chunk at offset %d: %w", off, err)
 		}
-		size, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading chunk size: %w", err)
-		}
-		if size > maxChunkLen {
-			return nil, fmt.Errorf("trace: chunk length %d exceeds limit %d", size, maxChunkLen)
-		}
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, fmt.Errorf("trace: reading chunk payload: %w", err)
-		}
-		var crcb [4]byte
-		if _, err := io.ReadFull(br, crcb[:]); err != nil {
-			return nil, fmt.Errorf("trace: reading chunk crc: %w", err)
-		}
-		if got, want := binary.LittleEndian.Uint32(crcb[:]), chunkCRC(tag, payload); got != want {
-			return nil, fmt.Errorf("trace: chunk crc mismatch (have %#x, want %#x)", got, want)
-		}
+		off = end
 		switch {
 		case tag == tagMeta:
 			if err := json.Unmarshal(payload, &log.Meta); err != nil {
@@ -493,20 +526,13 @@ func readAllV2(br *bufio.Reader) (*Log, error) {
 					tid, seq, lastSeq[tid]+1)
 			}
 			lastSeq[tid] = seq
-			evs, err := decodeEvents(tid, rest)
-			if err != nil {
-				return nil, err
-			}
-			log.Threads[tid] = append(log.Threads[tid], evs...)
-			if len(evs) > 0 {
-				log.ChunkOrder = append(log.ChunkOrder, ChunkRef{TID: tid, N: len(evs)})
-			}
+			chunks = append(chunks, threadChunk{tid: tid, payload: rest})
 		}
 	}
 	if !sawMeta {
 		return nil, errors.New("trace: truncated log: no metadata trailer")
 	}
-	return log, nil
+	return chunks, nil
 }
 
 // chunkCRC computes the CRC an LTRC2 chunk must carry: IEEE CRC32 over
@@ -519,26 +545,27 @@ func chunkCRC(tag uint64, payload []byte) uint32 {
 	return crc32.Update(crc, crc32.IEEETable, payload)
 }
 
-// readAllV1 decodes the legacy LTRC1 chunk stream.
-func readAllV1(br *bufio.Reader) (*Log, error) {
-	log := &Log{Threads: make(map[int32][]Event)}
+// scanV1 verifies the framing of a legacy LTRC1 chunk stream in data and
+// returns the thread chunks in byte order.
+func scanV1(data []byte, log *Log) ([]threadChunk, error) {
+	var chunks []threadChunk
 	sawMeta := false
-	for {
-		tag, err := binary.ReadUvarint(br)
-		if err == io.EOF {
-			break
+	for off := len(magicV1); off < len(data); {
+		tag, n := binary.Uvarint(data[off:])
+		if n <= 0 {
+			return nil, fmt.Errorf("trace: bad chunk tag at offset %d", off)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading chunk tag: %w", err)
+		off += n
+		size, n := binary.Uvarint(data[off:])
+		if n <= 0 {
+			return nil, fmt.Errorf("trace: bad chunk size at offset %d", off)
 		}
-		size, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading chunk size: %w", err)
+		off += n
+		if size > uint64(len(data)-off) {
+			return nil, fmt.Errorf("trace: chunk payload at offset %d extends past end of input", off)
 		}
-		payload, err := readPayload(br, size)
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading chunk payload: %w", err)
-		}
+		payload := data[off : off+int(size)]
+		off += int(size)
 		if tag == 0 {
 			if err := json.Unmarshal(payload, &log.Meta); err != nil {
 				return nil, fmt.Errorf("trace: decoding meta: %w", err)
@@ -546,113 +573,104 @@ func readAllV1(br *bufio.Reader) (*Log, error) {
 			sawMeta = true
 			continue
 		}
-		tid := int32(uint32(tag - 1))
-		evs, err := decodeEvents(tid, payload)
-		if err != nil {
-			return nil, err
-		}
-		log.Threads[tid] = append(log.Threads[tid], evs...)
-		if len(evs) > 0 {
-			log.ChunkOrder = append(log.ChunkOrder, ChunkRef{TID: tid, N: len(evs)})
-		}
+		chunks = append(chunks, threadChunk{tid: int32(uint32(tag - 1)), payload: payload})
 	}
 	if !sawMeta {
 		return nil, errors.New("trace: truncated log: no metadata trailer")
 	}
-	return log, nil
+	return chunks, nil
 }
 
-// readPayload reads size bytes in bounded steps, so a corrupt length
-// uvarint claiming gigabytes allocates no more than roughly what the
-// input actually contains before failing at EOF.
-func readPayload(r io.Reader, size uint64) ([]byte, error) {
-	const step = 64 << 10
-	if size <= step {
-		buf := make([]byte, size)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
+// minEventBytes is the smallest encoded event: kind, op and four
+// one-byte varints (a memory access). A payload of n bytes therefore
+// holds at most n/minEventBytes events.
+const minEventBytes = 6
+
+// decodeChunks decodes chunks into log.Threads and log.ChunkOrder. Each
+// thread's slice is allocated once with room for the most events its
+// payload bytes could hold, so appending never reallocates.
+func decodeChunks(log *Log, chunks []threadChunk) error {
+	size := make(map[int32]int)
+	for _, c := range chunks {
+		size[c.tid] += len(c.payload)
 	}
-	buf := make([]byte, 0, step)
-	for remaining := size; remaining > 0; {
-		n := uint64(step)
-		if remaining < n {
-			n = remaining
-		}
-		off := len(buf)
-		buf = append(buf, make([]byte, n)...)
-		if _, err := io.ReadFull(r, buf[off:]); err != nil {
-			return nil, err
-		}
-		remaining -= n
+	log.Threads = make(map[int32][]Event, len(size))
+	for tid, n := range size {
+		log.Threads[tid] = make([]Event, 0, n/minEventBytes)
 	}
-	return buf, nil
+	for _, c := range chunks {
+		evs := log.Threads[c.tid]
+		n0 := len(evs)
+		evs, _, err := appendEvents(evs, c.tid, c.payload)
+		if err != nil {
+			return err
+		}
+		log.Threads[c.tid] = evs
+		if len(evs) > n0 {
+			log.ChunkOrder = append(log.ChunkOrder, ChunkRef{TID: c.tid, N: len(evs) - n0})
+		}
+	}
+	return nil
 }
 
-func decodeEvents(tid int32, payload []byte) ([]Event, error) {
-	evs, n, err := decodeEventsPrefix(tid, payload)
-	if err != nil {
-		return nil, err
-	}
-	if n != len(payload) {
-		return nil, errors.New("trace: trailing bytes after events")
-	}
-	return evs, nil
-}
-
-// decodeEventsPrefix decodes as many complete events as payload holds,
-// returning them alongside the number of bytes consumed. A decode failure
-// returns the events decoded so far, the offset of the bad event, and the
-// error; the salvage decoder keeps the prefix.
+// decodeEventsPrefix decodes as many complete events as payload holds
+// into a fresh slice; see appendEvents.
 func decodeEventsPrefix(tid int32, payload []byte) ([]Event, int, error) {
-	var evs []Event
+	return appendEvents(make([]Event, 0, len(payload)/minEventBytes), tid, payload)
+}
+
+// appendEvents decodes as many complete events as payload holds onto
+// dst, returning the extended slice alongside the number of bytes
+// consumed. A decode failure returns dst with the events decoded so far,
+// the offset of the bad event, and the error; the salvage decoder keeps
+// the prefix.
+func appendEvents(dst []Event, tid int32, payload []byte) ([]Event, int, error) {
 	total := len(payload)
 	for len(payload) > 0 {
 		consumed := total - len(payload)
 		if len(payload) < 2 {
-			return evs, consumed, errors.New("trace: truncated event header")
+			return dst, consumed, errors.New("trace: truncated event header")
 		}
 		e := Event{Kind: Kind(payload[0]), Op: SyncOp(payload[1]), TID: tid}
 		if e.Kind >= numKinds {
-			return evs, consumed, fmt.Errorf("trace: bad event kind %d", e.Kind)
+			return dst, consumed, fmt.Errorf("trace: bad event kind %d", e.Kind)
 		}
 		if e.Op >= numSyncOps {
-			return evs, consumed, fmt.Errorf("trace: bad sync op %d", e.Op)
+			return dst, consumed, fmt.Errorf("trace: bad sync op %d", e.Op)
 		}
 		rest := payload[2:]
 		var err error
 		var v uint64
 		if v, rest, err = takeUvarint(rest); err != nil {
-			return evs, consumed, err
+			return dst, consumed, err
 		}
 		e.PC.Func = int32(uint32(v))
 		if v, rest, err = takeUvarint(rest); err != nil {
-			return evs, consumed, err
+			return dst, consumed, err
 		}
 		e.PC.Index = int32(uint32(v))
 		if e.Addr, rest, err = takeUvarint(rest); err != nil {
-			return evs, consumed, err
+			return dst, consumed, err
 		}
 		if e.Kind.IsMem() {
 			if v, rest, err = takeUvarint(rest); err != nil {
-				return evs, consumed, err
+				return dst, consumed, err
 			}
 			e.Mask = uint32(v)
 		} else {
 			if len(rest) < 1 {
-				return evs, consumed, errors.New("trace: truncated sync event")
+				return dst, consumed, errors.New("trace: truncated sync event")
 			}
 			e.Counter = rest[0]
 			rest = rest[1:]
 			if e.TS, rest, err = takeUvarint(rest); err != nil {
-				return evs, consumed, err
+				return dst, consumed, err
 			}
 		}
 		payload = rest
-		evs = append(evs, e)
+		dst = append(dst, e)
 	}
-	return evs, total, nil
+	return dst, total, nil
 }
 
 func takeUvarint(b []byte) (uint64, []byte, error) {

@@ -145,13 +145,16 @@ func (o SyncOp) String() string {
 
 // Event is one log record. Memory events use Addr, PC, and Mask; sync
 // events use Addr (the SyncVar), Counter, TS, Op, and PC.
+//
+// The byte-sized fields come first so they pack into the padding before
+// TID: an Event is 40 bytes, and decode and merge move millions of them.
 type Event struct {
 	Kind    Kind
 	Op      SyncOp
+	Counter uint8 // timestamp counter id, sync events only
 	TID     int32
 	PC      lir.PC
 	Addr    uint64
-	Counter uint8  // timestamp counter id, sync events only
 	TS      uint64 // timestamp within Counter (1-based), sync events only
 	Mask    uint32 // sampler would-log bitmask, memory events only
 }

@@ -118,7 +118,7 @@ func Salvage(r io.Reader) (*Log, *SalvageReport, error) {
 // SalvageObs is Salvage with telemetry: when reg is non-nil it counts
 // trace.crc_failures and trace.salvaged_chunks.
 func SalvageObs(r io.Reader, reg *obs.Registry) (*Log, *SalvageReport, error) {
-	data, err := io.ReadAll(r)
+	data, err := readInput(r)
 	if err != nil {
 		return nil, nil, fmt.Errorf("trace: salvage: %w", err)
 	}

@@ -429,7 +429,8 @@ func TestReadAllBoundedAllocation(t *testing.T) {
 	if _, err := ReadAll(bytes.NewReader(v2)); err == nil {
 		t.Error("LTRC2 accepted a 1TB chunk length")
 	}
-	// LTRC1: the incremental reader stops at EOF long before 1TB.
+	// LTRC1: a length past the end of the input is rejected before any
+	// payload is decoded.
 	v1 := append([]byte(magicV1), 0x01)
 	v1 = binary.AppendUvarint(v1, 1<<40)
 	if _, err := ReadAll(bytes.NewReader(v1)); err == nil {

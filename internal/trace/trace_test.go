@@ -2,11 +2,18 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
+	"unsafe"
 
 	"literace/internal/lir"
 	"literace/internal/obs"
@@ -262,6 +269,80 @@ func TestReadErrors(t *testing.T) {
 				t.Errorf("ReadAll accepted %s", c.name)
 			}
 		})
+	}
+}
+
+// TestEventSize pins the in-memory event layout: decode and merge move
+// every event, so the field order keeps the byte-sized fields packed.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 40 {
+		t.Fatalf("unsafe.Sizeof(Event{}) = %d, want 40", got)
+	}
+}
+
+// TestReadAllReaders decodes one log through every kind of reader
+// ReadAll sizes its buffer for (and one it cannot size): the results
+// must be identical.
+func TestReadAllReaders(t *testing.T) {
+	data, want := buildLog(t, 12, 3, 400, 50)
+	path := filepath.Join(t.TempDir(), "log.trc")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	readers := map[string]io.Reader{
+		"bytes.Reader":   bytes.NewReader(data),
+		"bytes.Buffer":   bytes.NewBuffer(data),
+		"strings.Reader": strings.NewReader(string(data)),
+		"os.File":        f,
+		"unsized":        iotest.OneByteReader(bytes.NewReader(data)),
+	}
+	var ref *Log
+	for name, r := range readers {
+		log, err := ReadAll(r)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(log.Threads, want) {
+			t.Fatalf("%s: decoded threads differ from the written events", name)
+		}
+		if ref == nil {
+			ref = log
+		} else if !reflect.DeepEqual(log, ref) {
+			t.Fatalf("%s: decoded log differs", name)
+		}
+	}
+	if _, err := ReadAll(iotest.ErrReader(errors.New("disk on fire"))); err == nil {
+		t.Error("ReadAll ignored a read error")
+	}
+}
+
+// TestReadAllV1 decodes a legacy LTRC1 log strictly.
+func TestReadAllV1(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	var a, b []Event
+	for i := 0; i < 40; i++ {
+		a = append(a, randomEvent(r, 1))
+		b = append(b, randomEvent(r, 2))
+	}
+	metaJSON, _ := json.Marshal(Meta{Module: "v1"})
+	data := encodeV1(t, metaJSON, map[int32][][]Event{1: {a[:25], a[25:]}, 2: {b}})
+	log, err := ReadAll(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if log.Meta.Module != "v1" || !reflect.DeepEqual(log.Threads[1], a) || !reflect.DeepEqual(log.Threads[2], b) {
+		t.Fatalf("LTRC1 decode mismatch: meta %+v, %d/%d events", log.Meta, len(log.Threads[1]), len(log.Threads[2]))
+	}
+	if len(log.ChunkOrder) != 3 {
+		t.Fatalf("chunk order %v, want 3 chunks", log.ChunkOrder)
+	}
+	if _, err := ReadAll(bytes.NewReader(data[:len(data)-1])); err == nil {
+		t.Error("truncated LTRC1 log accepted")
 	}
 }
 
