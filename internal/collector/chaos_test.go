@@ -451,24 +451,47 @@ func split(data []byte, n int) [][3]any {
 }
 
 // TestCollectorReorderWithinBudget delivers the log's frames in a
-// scrambled order; the reorder buffer must reassemble them losslessly.
+// scrambled order on one connection; the reorder buffer must reassemble
+// them losslessly. The server reads every frame into the same buffer, so
+// a frame parked out of order must be copied before the next read
+// overwrites it.
 func TestCollectorReorderWithinBudget(t *testing.T) {
 	_, addr := startCollector(t, collector.Options{})
 	data := genLog(t, "dryad", 1)
-	frames := split(data, 8<<10)
-	// Swap adjacent pairs: 1,0,3,2,...
-	for i := 0; i+1 < len(frames); i += 2 {
-		frames[i], frames[i+1] = frames[i+1], frames[i]
+
+	// Swap adjacent pairs of even frames: 1,0,3,2,...
+	swapped := split(data, 8<<10)
+	for i := 0; i+1 < len(swapped); i += 2 {
+		swapped[i], swapped[i+1] = swapped[i+1], swapped[i]
 	}
-	final := rawShip(t, addr, "scrambled", frames, uint64(len(data)))
-	if !final.OK {
-		t.Fatalf("final: %+v", final)
+	// Reverse every run of five frames of uneven sizes, so smaller
+	// payloads land in a buffer a larger one left behind.
+	var reversed [][3]any
+	sizes := []int{12 << 10, 3 << 10, 7 << 10}
+	for off, i := 0, 0; off < len(data); i++ {
+		end := min(off+sizes[i%len(sizes)], len(data))
+		reversed = append(reversed, [3]any{byte(0), uint64(off), data[off:end]})
+		off = end
 	}
-	if want := detectText(t, data); final.Report != want {
-		t.Fatal("reordered delivery changed the report")
+	for lo := 0; lo < len(reversed); lo += 5 {
+		run := reversed[lo:min(lo+5, len(reversed))]
+		for i, j := 0, len(run)-1; i < j; i, j = i+1, j-1 {
+			run[i], run[j] = run[j], run[i]
+		}
 	}
-	if final.Degraded {
-		t.Fatal("within-budget reorder degraded the analysis")
+
+	want := detectText(t, data)
+	for name, frames := range map[string][][3]any{"swapped": swapped, "reversed": reversed} {
+		final := rawShip(t, addr, name, frames, uint64(len(data)))
+		if !final.OK {
+			t.Fatalf("%s: final: %+v", name, final)
+		}
+		if final.Report != want {
+			t.Fatalf("%s: reordered delivery changed the report", name)
+		}
+		if final.Degraded {
+			t.Fatalf("%s: within-budget reorder degraded the analysis", name)
+		}
 	}
 }
 

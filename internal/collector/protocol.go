@@ -198,7 +198,10 @@ func writeFrame(w io.Writer, flags byte, off uint64, payload []byte) error {
 
 // readFrame reads one frame, rejecting payloads over maxFrame bytes
 // before buffering anything (a hostile length can not balloon memory).
-func readFrame(r io.Reader, maxFrame int) (flags byte, off uint64, payload []byte, err error) {
+// The payload reuses buf's storage when it fits, so it is valid only
+// until the next call with the same buf; pass the payload back as buf to
+// read a connection's frames into one buffer.
+func readFrame(r io.Reader, maxFrame int, buf []byte) (flags byte, off uint64, payload []byte, err error) {
 	var hdr [frameHeaderLen]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, nil, err
@@ -209,11 +212,13 @@ func readFrame(r io.Reader, maxFrame int) (flags byte, off uint64, payload []byt
 	if int64(n) > int64(maxFrame) {
 		return 0, 0, nil, fmt.Errorf("collector: frame of %d bytes exceeds limit %d", n, maxFrame)
 	}
-	if n > 0 {
+	if int(n) <= cap(buf) {
+		payload = buf[:n]
+	} else {
 		payload = make([]byte, n)
-		if _, err = io.ReadFull(r, payload); err != nil {
-			return 0, 0, nil, err
-		}
+	}
+	if _, err = io.ReadFull(r, payload); err != nil {
+		return 0, 0, nil, err
 	}
 	return flags, off, payload, nil
 }

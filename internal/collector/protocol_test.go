@@ -16,14 +16,14 @@ func TestFrameRoundtrip(t *testing.T) {
 	if err := writeFrame(&buf, frameEOF, 99, nil); err != nil {
 		t.Fatal(err)
 	}
-	flags, off, got, err := readFrame(&buf, DefaultMaxFrame)
+	flags, off, got, err := readFrame(&buf, DefaultMaxFrame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if flags != frameData || off != 42 || !bytes.Equal(got, payload) {
 		t.Fatalf("data frame: flags=%d off=%d payload=%q", flags, off, got)
 	}
-	flags, off, got, err = readFrame(&buf, DefaultMaxFrame)
+	flags, off, got, err = readFrame(&buf, DefaultMaxFrame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,12 +32,42 @@ func TestFrameRoundtrip(t *testing.T) {
 	}
 }
 
+func TestReadFrameReusesBuffer(t *testing.T) {
+	var buf bytes.Buffer
+	frames := [][]byte{[]byte("ten bytes!"), []byte("four"), []byte("twenty bytes, longer")}
+	for i, p := range frames {
+		if err := writeFrame(&buf, frameData, uint64(i), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var frameBuf []byte
+	var first []byte
+	for i, want := range frames {
+		_, off, got, err := readFrame(&buf, DefaultMaxFrame, frameBuf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if off != uint64(i) || !bytes.Equal(got, want) {
+			t.Fatalf("frame %d: off=%d payload=%q", i, off, got)
+		}
+		switch i {
+		case 0:
+			first = got
+		case 1:
+			if &got[0] != &first[0] {
+				t.Error("a payload that fits was not read into the caller's buffer")
+			}
+		}
+		frameBuf = got
+	}
+}
+
 func TestFrameOversizedRejected(t *testing.T) {
 	var buf bytes.Buffer
 	if err := writeFrame(&buf, frameData, 0, make([]byte, 2048)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := readFrame(&buf, 1024); err == nil {
+	if _, _, _, err := readFrame(&buf, 1024, nil); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }

@@ -307,15 +307,20 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	s.log.Info("producer attached", "producer", hello.Producer, "resume_at", reply.Next)
 
+	// One payload buffer serves the connection: every frame kind is done
+	// with its payload before the next read (the pipeline and the reorder
+	// buffer copy data, telemetry is unmarshalled).
+	var frameBuf []byte
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(idle))
-		flags, off, payload, err := readFrame(br, s.maxFrame())
+		flags, off, payload, err := readFrame(br, s.maxFrame(), frameBuf)
 		if err != nil {
 			// Disconnect, timeout, or oversized frame: park for resume
 			// (unless a takeover already owns the session).
 			sess.park(gen)
 			return
 		}
+		frameBuf = payload
 		switch flags {
 		case frameEOF:
 			if !sess.current(gen) {

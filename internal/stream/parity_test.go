@@ -19,7 +19,7 @@ import (
 // genLog executes benchmark b at the given scale and seed under full
 // logging and returns the encoded LTRC2 log — the same recipe the
 // harness uses for its ground-truth runs.
-func genLog(t *testing.T, b workloads.Benchmark, seed int64, scale int) []byte {
+func genLog(t testing.TB, b workloads.Benchmark, seed int64, scale int) []byte {
 	t.Helper()
 	mod, err := b.Module(scale)
 	if err != nil {
@@ -61,7 +61,7 @@ func genLog(t *testing.T, b workloads.Benchmark, seed int64, scale int) []byte {
 }
 
 // mustBench resolves a benchmark key or fails the test.
-func mustBench(t *testing.T, key string) workloads.Benchmark {
+func mustBench(t testing.TB, key string) workloads.Benchmark {
 	t.Helper()
 	b, ok := workloads.ByKey(key)
 	if !ok {
@@ -72,7 +72,7 @@ func mustBench(t *testing.T, key string) workloads.Benchmark {
 
 // runPipeline feeds data through a streaming pipeline in pieces of the
 // given sizes (cycled; {0} means all at once).
-func runPipeline(t *testing.T, data []byte, shards int, sizes []int) *stream.Result {
+func runPipeline(t testing.TB, data []byte, shards int, sizes []int) *stream.Result {
 	t.Helper()
 	p := stream.New(stream.Options{Shards: shards, SamplerBit: hb.AllEvents})
 	for off, i := 0, 0; off < len(data); i++ {

@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -160,7 +159,8 @@ type Pipeline struct {
 
 	ordinal    uint64 // next mem-access dispatch ordinal
 	degradeOrd atomic.Uint64
-	pending    [][]memAccess // per-shard batch under construction
+	pending    [][]memAccess    // per-shard batch under construction
+	free       chan []memAccess // batches the shards are done with, for reuse
 
 	res      hb.Result
 	raceMu   sync.Mutex
@@ -237,10 +237,13 @@ func New(opts Options) *Pipeline {
 		threads: make(map[int32]*clockState),
 		vars:    make(map[uint64]hb.VC),
 		pending: make([][]memAccess, opts.Shards),
-		done:    make(chan struct{}, opts.Shards),
-		start:   time.Now(),
-		rec:     opts.Diag,
-		log:     opts.Log,
+		// Every batch in circulation fits: per shard, a full inbox, the
+		// batch it is analyzing and the one the clock engine is filling.
+		free:  make(chan []memAccess, opts.Shards*(shardChanDepth+2)),
+		done:  make(chan struct{}, opts.Shards),
+		start: time.Now(),
+		rec:   opts.Diag,
+		log:   opts.Log,
 	}
 	p.rateAt = p.start
 	p.degradeOrd.Store(^uint64(0))
@@ -273,6 +276,7 @@ func New(opts Options) *Pipeline {
 		s := &shard{
 			idx:        i,
 			ch:         make(chan []memAccess, shardChanDepth),
+			free:       p.free,
 			mem:        make(map[uint64]*addrHist),
 			degradeOrd: &p.degradeOrd,
 			onRace:     onRace,
@@ -440,6 +444,9 @@ func (p *Pipeline) handle(e trace.Event) error {
 		p.ordinal++
 		p.obsDispatch.Inc()
 		i := p.shardOf(e.Addr)
+		if p.pending[i] == nil {
+			p.pending[i] = p.newBatch()
+		}
 		p.pending[i] = append(p.pending[i], a)
 		if len(p.pending[i]) >= p.opts.BatchSize {
 			p.flush(i)
@@ -467,6 +474,17 @@ func (p *Pipeline) thread(tid int32) *clockState {
 // the (often aligned, clustered) addresses evenly across shards.
 func (p *Pipeline) shardOf(addr uint64) int {
 	return int((addr * 0x9E3779B97F4A7C15 >> 33) % uint64(len(p.shards)))
+}
+
+// newBatch returns an empty dispatch batch: one a shard has finished
+// with when the free list has any, else a fresh one.
+func (p *Pipeline) newBatch() []memAccess {
+	select {
+	case b := <-p.free:
+		return b[:0]
+	default:
+		return make([]memAccess, 0, p.opts.BatchSize)
+	}
 }
 
 func (p *Pipeline) flush(i int) {
@@ -642,20 +660,14 @@ func (p *Pipeline) Finish() (*Result, error) {
 		return nil, derr
 	}
 
-	var all []shardRace
+	lists := make([][]shardRace, len(p.shards))
 	shardEvents := make([]uint64, len(p.shards))
 	near := hb.NewNearAccum(p.opts.NearMissMargin)
 	for i, s := range p.shards {
-		all = append(all, s.races...)
+		lists[i] = s.races
 		shardEvents[i] = s.events
 		near.Merge(s.near)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].ord != all[j].ord {
-			return all[i].ord < all[j].ord
-		}
-		return all[i].sub < all[j].sub
-	})
 
 	res := &Result{
 		Result:       p.res,
@@ -671,16 +683,8 @@ func (p *Pipeline) Finish() (*Result, error) {
 	}
 	res.NearMisses = near.Rows()
 	hb.PublishNearMisses(p.opts.Obs, res.NearMisses)
-	res.NumRaces = uint64(len(all))
+	res.Races, res.NumRaces, res.Unconfirmed = mergeRaces(lists, p.opts.KeepMax)
 	p.obsRaces.Add(res.NumRaces)
-	for _, sr := range all {
-		if sr.r.Unconfirmed {
-			res.Unconfirmed++
-		}
-		if p.opts.KeepMax == 0 || len(res.Races) < p.opts.KeepMax {
-			res.Races = append(res.Races, sr.r)
-		}
-	}
 	if sec := res.Elapsed.Seconds(); sec > 0 {
 		res.EventsPerSec = float64(p.m.Delivered()) / sec
 	}
@@ -715,4 +719,42 @@ func (p *Pipeline) Finish() (*Result, error) {
 	}
 	p.finRes = res
 	return res, nil
+}
+
+// mergeRaces merges the shards' race lists, each already in (ord, sub)
+// order, into replay order, consuming lists. It keeps the first keepMax
+// races (0 keeps all) and counts every race and every unconfirmed one.
+// races stays nil when no shard found any, as a batch pass leaves
+// hb.Result.Races.
+func mergeRaces(lists [][]shardRace, keepMax int) (races []hb.DynamicRace, total, unconfirmed uint64) {
+	for _, l := range lists {
+		total += uint64(len(l))
+		for i := range l {
+			if l[i].r.Unconfirmed {
+				unconfirmed++
+			}
+		}
+	}
+	n := int(total)
+	if keepMax > 0 && n > keepMax {
+		n = keepMax
+	}
+	if n == 0 {
+		return nil, total, unconfirmed
+	}
+	races = make([]hb.DynamicRace, 0, n)
+	// An ordinal belongs to one shard, so heads never tie on ord and each
+	// list keeps its own sub order; with a handful of shards a linear scan
+	// for the least head beats a heap.
+	for len(races) < n {
+		best := -1
+		for i, l := range lists {
+			if len(l) > 0 && (best < 0 || l[0].ord < lists[best][0].ord) {
+				best = i
+			}
+		}
+		races = append(races, lists[best][0].r)
+		lists[best] = lists[best][1:]
+	}
+	return races, total, unconfirmed
 }

@@ -62,6 +62,7 @@ type addrHist struct {
 type shard struct {
 	idx        int
 	ch         chan []memAccess
+	free       chan<- []memAccess // finished batches go back to the pipeline
 	mem        map[uint64]*addrHist
 	races      []shardRace
 	events     uint64
@@ -127,6 +128,12 @@ func (s *shard) run(done chan<- struct{}) {
 		if s.rec != nil {
 			s.rec.Span(diag.StageShardDetect, int32(s.idx), t0, time.Since(t0),
 				batch[len(batch)-1].ord, uint64(len(batch)))
+		}
+		// The batch is no longer read; hand it back for reuse, or drop it
+		// if the free list is full rather than wait on the pipeline.
+		select {
+		case s.free <- batch:
+		default:
 		}
 	}
 	done <- struct{}{}

@@ -22,7 +22,9 @@ var errStreamNotALog = errors.New("trace: stream: not a LiteRace log (bad magic)
 // feeding any byte string through Feed+Finish accepts precisely the
 // chunks Salvage would accept from the same bytes, with the same
 // SalvageReport accounting. Memory stays bounded by the largest pending
-// chunk (maxChunkLen) regardless of input size.
+// chunk (maxChunkLen) plus one fed piece, regardless of input size: the
+// unconsumed bytes live in one backing store that Feed compacts and
+// reuses instead of reallocating.
 //
 // The one thing an online decoder cannot know is whether missing bytes
 // are still in flight: an incomplete chunk at the end of the buffer makes
@@ -36,8 +38,9 @@ type Stream struct {
 	// so orderings derived from these events are no longer trustworthy).
 	emit func(tid int32, events []Event, suspect bool)
 
-	buf  []byte // unconsumed input
-	base int64  // absolute offset of buf[0] in the full input
+	buf   []byte // unconsumed input, a window of store
+	store []byte // backing array reused across feeds
+	base  int64  // absolute offset of buf[0] in the full input
 
 	magicDone bool
 	finished  bool
@@ -91,7 +94,16 @@ func (s *Stream) Feed(p []byte) error {
 		return s.err
 	}
 	s.rep.TotalBytes += int64(len(p))
-	s.buf = append(s.buf, p...)
+	if len(s.buf)+len(p) > cap(s.buf) {
+		// p does not fit after buf: slide the unconsumed bytes to the
+		// front of the store first, so the store only grows when they and
+		// p together outgrow all of it.
+		n := copy(s.store[:cap(s.store)], s.buf)
+		s.buf = append(s.store[:n], p...)
+		s.store = s.buf[:0]
+	} else {
+		s.buf = append(s.buf, p...)
+	}
 	if !s.magicDone {
 		if len(s.buf) < len(magic) {
 			// Reject early when the prefix can no longer extend to a magic.
@@ -175,7 +187,7 @@ func (s *Stream) consume(n int) {
 	s.base += int64(n)
 	s.buf = s.buf[n:]
 	if len(s.buf) == 0 {
-		s.buf = nil
+		s.buf = s.store[:0]
 	}
 }
 
