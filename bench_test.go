@@ -309,6 +309,8 @@ func BenchmarkInstrumentedInterpreter(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var instrs uint64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w, err := trace.NewWriter(io.Discard)
@@ -334,7 +336,9 @@ func BenchmarkInstrumentedInterpreter(b *testing.B) {
 		if err := w.Close(mach.Meta(res)); err != nil {
 			b.Fatal(err)
 		}
+		instrs += res.Instrs
 	}
+	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
 }
 
 // BenchmarkDetector measures offline happens-before detection throughput

@@ -73,91 +73,147 @@ func (m *Machine) logSync(th *thread, kind trace.Kind, op trace.SyncOp, syncVar 
 	return th.ts.LogSync(kind, op, syncVar, pc)
 }
 
-// step executes one instruction of th. Blocking instructions leave the pc
-// unchanged and are completed (pc advanced, effects applied) by the waking
-// thread, so they are counted exactly once, at issue.
-func (m *Machine) step(th *thread) error {
+// runSlice executes up to quantum instructions of th, returning early when
+// the thread blocks, finishes or yields. Frame, code, registers and pc stay
+// in locals while straight-line ops run inline; any other op spills pc, goes
+// through step and reloads the locals from th.top(). Instructions are
+// counted one by one, so faults and the budget error stay exact.
+func (m *Machine) runSlice(th *thread, quantum int) error {
 	fr := th.top()
-	ins := &fr.fn.Code[fr.pc]
-	m.res.Instrs++
-	isInstrumentation := ins.Op == lir.MLog || ins.Op == lir.Dispatch || ins.Op == lir.ReCheck
-	if !isInstrumentation {
-		m.res.BaseCycles++
+	code, r, pc := fr.fn.Code, fr.regs, fr.pc
+	for ; quantum > 0; quantum-- {
+		ins := &code[pc]
+		m.res.Instrs++
+		m.res.BaseCycles++ // taken back below for instrumentation ops
+		if m.obsCats {
+			m.catCycles[opCategory(ins.Op)]++
+		}
+		switch ins.Op {
+		case lir.Nop:
+		case lir.MovI:
+			r[ins.A] = uint64(ins.Imm)
+		case lir.Mov:
+			r[ins.A] = r[ins.B]
+		case lir.Add:
+			r[ins.A] = r[ins.B] + r[ins.C]
+		case lir.Sub:
+			r[ins.A] = r[ins.B] - r[ins.C]
+		case lir.Mul:
+			r[ins.A] = r[ins.B] * r[ins.C]
+		case lir.Div:
+			if r[ins.C] == 0 {
+				fr.pc = pc
+				return m.fault(th, "division by zero")
+			}
+			r[ins.A] = uint64(int64(r[ins.B]) / int64(r[ins.C]))
+		case lir.Mod:
+			if r[ins.C] == 0 {
+				fr.pc = pc
+				return m.fault(th, "modulo by zero")
+			}
+			r[ins.A] = uint64(int64(r[ins.B]) % int64(r[ins.C]))
+		case lir.And:
+			r[ins.A] = r[ins.B] & r[ins.C]
+		case lir.Or:
+			r[ins.A] = r[ins.B] | r[ins.C]
+		case lir.Xor:
+			r[ins.A] = r[ins.B] ^ r[ins.C]
+		case lir.Shl:
+			r[ins.A] = r[ins.B] << (r[ins.C] & 63)
+		case lir.Shr:
+			r[ins.A] = r[ins.B] >> (r[ins.C] & 63)
+		case lir.AddI:
+			r[ins.A] = r[ins.B] + uint64(ins.Imm)
+		case lir.Slt:
+			r[ins.A] = b2u(int64(r[ins.B]) < int64(r[ins.C]))
+		case lir.Sle:
+			r[ins.A] = b2u(int64(r[ins.B]) <= int64(r[ins.C]))
+		case lir.Seq:
+			r[ins.A] = b2u(r[ins.B] == r[ins.C])
+		case lir.Sne:
+			r[ins.A] = b2u(r[ins.B] != r[ins.C])
+		case lir.Not:
+			r[ins.A] = b2u(r[ins.B] == 0)
+		case lir.Neg:
+			r[ins.A] = uint64(-int64(r[ins.B]))
+		case lir.Glob:
+			r[ins.A] = m.globalAddrs[ins.B]
+
+		// Jumps stop one short of the target; the pc++ below lands on it.
+		case lir.Jmp:
+			pc = ins.A - 1
+		case lir.Br:
+			if r[ins.A] != 0 {
+				pc = ins.B - 1
+			} else {
+				pc = ins.C - 1
+			}
+
+		case lir.Load:
+			addr := r[ins.B] + uint64(ins.Imm)
+			v, ok := m.mem.load(addr)
+			if !ok {
+				fr.pc = pc
+				return m.fault(th, "load from unmapped address %#x", addr)
+			}
+			r[ins.A] = v
+			m.countMem(th, fr, addr)
+		case lir.Store:
+			addr := r[ins.A] + uint64(ins.Imm)
+			if !m.mem.store(addr, r[ins.B]) {
+				fr.pc = pc
+				return m.fault(th, "store to unmapped address %#x", addr)
+			}
+			m.countMem(th, fr, addr)
+
+		default:
+			if opCategory(ins.Op) == catInstrumentation {
+				m.res.BaseCycles-- // instrumentation costs no application cycle
+			}
+			fr.pc = pc
+			if err := m.step(th, fr, ins); err != nil {
+				return err
+			}
+			if m.res.Instrs > m.opts.MaxInstrs {
+				return m.budgetError()
+			}
+			if th.state != tRunnable || m.yieldSlice {
+				return nil
+			}
+			fr = th.top()
+			code, r, pc = fr.fn.Code, fr.regs, fr.pc
+			continue
+		}
+		pc++
+		if m.res.Instrs > m.opts.MaxInstrs {
+			fr.pc = pc
+			return m.budgetError()
+		}
 	}
-	if m.obsCats {
-		m.catCycles[opCategory(ins.Op)]++
-	}
+	fr.pc = pc
+	return nil
+}
+
+func (m *Machine) budgetError() error {
+	return fmt.Errorf("interp: instruction budget %d exceeded", m.opts.MaxInstrs)
+}
+
+// step executes one instruction of th that runSlice does not run inline;
+// fr is th's top frame and ins its current instruction, already counted.
+// Blocking instructions leave the pc unchanged and are completed (pc
+// advanced, effects applied) by the waking thread, so they are counted
+// exactly once, at issue.
+func (m *Machine) step(th *thread, fr *frame, ins *lir.Instr) error {
 	r := fr.regs
 
 	switch ins.Op {
-	case lir.Nop:
-	case lir.MovI:
-		r[ins.A] = uint64(ins.Imm)
-	case lir.Mov:
-		r[ins.A] = r[ins.B]
-	case lir.Add:
-		r[ins.A] = r[ins.B] + r[ins.C]
-	case lir.Sub:
-		r[ins.A] = r[ins.B] - r[ins.C]
-	case lir.Mul:
-		r[ins.A] = r[ins.B] * r[ins.C]
-	case lir.Div:
-		if r[ins.C] == 0 {
-			return m.fault(th, "division by zero")
-		}
-		r[ins.A] = uint64(int64(r[ins.B]) / int64(r[ins.C]))
-	case lir.Mod:
-		if r[ins.C] == 0 {
-			return m.fault(th, "modulo by zero")
-		}
-		r[ins.A] = uint64(int64(r[ins.B]) % int64(r[ins.C]))
-	case lir.And:
-		r[ins.A] = r[ins.B] & r[ins.C]
-	case lir.Or:
-		r[ins.A] = r[ins.B] | r[ins.C]
-	case lir.Xor:
-		r[ins.A] = r[ins.B] ^ r[ins.C]
-	case lir.Shl:
-		r[ins.A] = r[ins.B] << (r[ins.C] & 63)
-	case lir.Shr:
-		r[ins.A] = r[ins.B] >> (r[ins.C] & 63)
-	case lir.AddI:
-		r[ins.A] = r[ins.B] + uint64(ins.Imm)
-	case lir.Slt:
-		r[ins.A] = b2u(int64(r[ins.B]) < int64(r[ins.C]))
-	case lir.Sle:
-		r[ins.A] = b2u(int64(r[ins.B]) <= int64(r[ins.C]))
-	case lir.Seq:
-		r[ins.A] = b2u(r[ins.B] == r[ins.C])
-	case lir.Sne:
-		r[ins.A] = b2u(r[ins.B] != r[ins.C])
-	case lir.Not:
-		r[ins.A] = b2u(r[ins.B] == 0)
-	case lir.Neg:
-		r[ins.A] = uint64(-int64(r[ins.B]))
-
-	case lir.Jmp:
-		fr.pc = ins.A
-		return nil
-	case lir.Br:
-		if r[ins.A] != 0 {
-			fr.pc = ins.B
-		} else {
-			fr.pc = ins.C
-		}
-		return nil
-
 	case lir.Call:
-		callee := m.mod.Funcs[ins.B]
-		nf := frame{
-			fn: callee, fnIdx: ins.B, pc: 0,
-			regs: make([]uint64, callee.NRegs), retReg: ins.A,
-		}
-		for i, a := range ins.Args {
-			nf.regs[i] = r[a]
-		}
 		fr.pc++ // return address
-		th.frames = append(th.frames, nf)
+		nf := th.pushFrame(m.mod.Funcs[ins.B], ins.B, ins.A)
+		caller := th.frames[len(th.frames)-2].regs
+		for i, a := range ins.Args {
+			nf.regs[i] = caller[a]
+		}
 		return nil
 
 	case lir.Ret:
@@ -166,7 +222,7 @@ func (m *Machine) step(th *thread) error {
 			val = r[ins.A]
 		}
 		retReg := fr.retReg
-		th.frames = th.frames[:len(th.frames)-1]
+		th.popFrame()
 		if len(th.frames) == 0 {
 			return m.finishThread(th)
 		}
@@ -177,24 +233,6 @@ func (m *Machine) step(th *thread) error {
 
 	case lir.Exit:
 		return m.finishThread(th)
-
-	case lir.Load:
-		addr := r[ins.B] + uint64(ins.Imm)
-		v, ok := m.mem.load(addr)
-		if !ok {
-			return m.fault(th, "load from unmapped address %#x", addr)
-		}
-		r[ins.A] = v
-		m.countMem(th, fr, addr)
-	case lir.Store:
-		addr := r[ins.A] + uint64(ins.Imm)
-		if !m.mem.store(addr, r[ins.B]) {
-			return m.fault(th, "store to unmapped address %#x", addr)
-		}
-		m.countMem(th, fr, addr)
-
-	case lir.Glob:
-		r[ins.A] = m.globalAddrs[ins.B]
 
 	case lir.Alloc:
 		size := r[ins.B]
@@ -561,6 +599,6 @@ func (m *Machine) block(th *thread) {
 func (m *Machine) wake(th *thread) {
 	if th.state == tBlocked {
 		th.state = tRunnable
-		m.runq = append(m.runq, th.tid)
+		m.runq.push(th.tid)
 	}
 }

@@ -1,9 +1,13 @@
 package interp
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"literace/internal/asm"
+	"literace/internal/lir"
 )
 
 // TestNotifyWakesAllWaiters: three waiters block on one event; a single
@@ -281,8 +285,11 @@ func main 0 8 {
 	}
 }
 
-// TestDeepRecursionWorks: the call stack is heap-allocated frames, so
-// deep recursion just works.
+// TestDeepRecursionWorks: register windows come from a per-thread register
+// stack that grows on demand, so deep recursion just works. The sum
+// 1..20000 needs every caller's registers intact across each growth, and
+// r3, read before it is written, needs each window zeroed: the second call
+// reuses the windows the first one left behind.
 func TestDeepRecursionWorks(t *testing.T) {
 	src := `
 func down 1 4 {
@@ -290,19 +297,62 @@ func down 1 4 {
 base:
     ret r0
 rec:
+    add r3, r3, r0
     addi r1, r0, -1
     call r2, down, r1
-    ret r2
+    add r3, r3, r2
+    ret r3
 }
 func main 0 4 {
     movi r0, 20000
+    call r1, down, r0
+    print r1
     call r1, down, r0
     print r1
     exit
 }
 `
 	res := run(t, src, Options{})
-	if len(res.Prints) != 1 || res.Prints[0] != 0 {
-		t.Errorf("prints = %v", res.Prints)
+	if len(res.Prints) != 2 || res.Prints[0] != 200010000 || res.Prints[1] != 200010000 {
+		t.Errorf("prints = %v, want [200010000 200010000]", res.Prints)
+	}
+}
+
+// TestStackRegion: thread stacks are mapped a page at a time on first
+// touch, yet every stack of a spawned thread is valid and reads zero, and
+// the first word past the highest spawned stack still faults.
+func TestStackRegion(t *testing.T) {
+	const words = 4 * lir.PageWords
+	child := StackBase + words // thread 1's stack
+	src := fmt.Sprintf(`
+func child 1 4 {
+    salloc r1, 4
+    store r1, 0, r0
+    ret r0
+}
+func main 0 6 {
+    movi r0, 7
+    fork r1, child, r0
+    join r1
+    movi r2, %d
+    load r3, r2, 0
+    print r3
+    load r3, r2, %d
+    print r3
+    load r3, r2, %d
+    exit
+}
+`, child, 3*lir.PageWords+5, words)
+	mach, err := New(asm.MustAssemble("t", src), Options{StackWords: words})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := mach.Run()
+	if want := []int64{7, 0}; fmt.Sprint(res.Prints) != fmt.Sprint(want) {
+		t.Errorf("prints = %v, want %v", res.Prints, want)
+	}
+	var f *Fault
+	if !errors.As(err, &f) || !strings.Contains(f.Msg, "unmapped") || f.TID != 0 || f.PC != 8 {
+		t.Errorf("load past the last stack: err = %v, want an unmapped fault at main:8", err)
 	}
 }

@@ -2,6 +2,8 @@ package interp
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -244,27 +246,60 @@ func main 0 4 {
 	}
 }
 
+// straightLineFault returns a program whose forked thread runs a long
+// block of ALU ops and in-bounds memory ops with bad in the middle, at
+// index 2+2*pre of func work, so a scheduling slice almost never starts on
+// the faulting instruction.
+func straightLineFault(bad string, pre int) string {
+	var b strings.Builder
+	b.WriteString("glob g 4\nfunc work 1 6 {\n glob r1, g\n movi r2, 0\n")
+	for i := 0; i < pre; i++ {
+		fmt.Fprintf(&b, " addi r3, r3, %d\n store r1, %d, r3\n", i, i%4)
+	}
+	fmt.Fprintf(&b, " %s\n", bad)
+	for i := 0; i < 40; i++ {
+		b.WriteString(" load r4, r1, 1\n add r3, r3, r4\n")
+	}
+	b.WriteString(" ret r3\n}\nfunc main 0 4 {\n fork r0, work, r1\n join r0\n exit\n}\n")
+	return b.String()
+}
+
 func TestFaults(t *testing.T) {
 	cases := []struct {
 		name, src, wantSub string
+		tid                int32
+		fn                 string
+		pc                 int32
 	}{
-		{"div zero", "func main 0 4 {\n movi r0, 1\n movi r1, 0\n div r2, r0, r1\n exit\n}", "division by zero"},
-		{"unmapped load", "func main 0 4 {\n movi r0, 0\n load r1, r0, 0\n exit\n}", "unmapped"},
-		{"unmapped store", "func main 0 4 {\n movi r0, 5\n store r0, 0, r0\n exit\n}", "unmapped"},
-		{"double free", "func main 0 4 {\n movi r0, 8\n alloc r1, r0\n free r1\n free r1\n exit\n}", "not a live allocation"},
-		{"bad free", "func main 0 4 {\n movi r0, 12345\n free r0\n exit\n}", "not a live allocation"},
-		{"stack overflow", "func main 0 4 {\n salloc r0, 99999999\n exit\n}", "stack overflow"},
-		{"recursive lock", "glob l 1\nfunc main 0 4 {\n glob r0, l\n lock r0\n lock r0\n exit\n}", "recursive lock"},
-		{"unlock not owner", "glob l 1\nfunc main 0 4 {\n glob r0, l\n unlock r0\n exit\n}", "not owned"},
-		{"join self", "func main 0 4 {\n tid r0\n join r0\n exit\n}", "join on self"},
-		{"join unknown", "func main 0 4 {\n movi r0, 77\n join r0\n exit\n}", "unknown thread"},
-		{"atomic unmapped", "func main 0 4 {\n movi r0, 3\n xadd r1, r0, r0\n exit\n}", "unmapped"},
+		{"div zero", "func main 0 4 {\n movi r0, 1\n movi r1, 0\n div r2, r0, r1\n exit\n}", "division by zero", 0, "main", 2},
+		{"unmapped load", "func main 0 4 {\n movi r0, 0\n load r1, r0, 0\n exit\n}", "unmapped", 0, "main", 1},
+		{"unmapped store", "func main 0 4 {\n movi r0, 5\n store r0, 0, r0\n exit\n}", "unmapped", 0, "main", 1},
+		{"double free", "func main 0 4 {\n movi r0, 8\n alloc r1, r0\n free r1\n free r1\n exit\n}", "not a live allocation", 0, "main", 3},
+		{"bad free", "func main 0 4 {\n movi r0, 12345\n free r0\n exit\n}", "not a live allocation", 0, "main", 1},
+		{"stack overflow", "func main 0 4 {\n salloc r0, 99999999\n exit\n}", "stack overflow", 0, "main", 0},
+		{"recursive lock", "glob l 1\nfunc main 0 4 {\n glob r0, l\n lock r0\n lock r0\n exit\n}", "recursive lock", 0, "main", 2},
+		{"unlock not owner", "glob l 1\nfunc main 0 4 {\n glob r0, l\n unlock r0\n exit\n}", "not owned", 0, "main", 1},
+		{"join self", "func main 0 4 {\n tid r0\n join r0\n exit\n}", "join on self", 0, "main", 1},
+		{"join unknown", "func main 0 4 {\n movi r0, 77\n join r0\n exit\n}", "unknown thread", 0, "main", 1},
+		{"atomic unmapped", "func main 0 4 {\n movi r0, 3\n xadd r1, r0, r0\n exit\n}", "unmapped", 0, "main", 1},
+		{"load mid-block", straightLineFault("load r5, r2, 7", 150), "load from unmapped address 0x7", 1, "work", 302},
+		{"store mid-block", straightLineFault("store r2, 9, r3", 97), "store to unmapped address 0x9", 1, "work", 196},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := runErr(t, c.src, Options{})
-			if !strings.Contains(err.Error(), c.wantSub) {
-				t.Errorf("error %q does not mention %q", err, c.wantSub)
+			for seed := int64(1); seed <= 4; seed++ {
+				err := runErr(t, c.src, Options{Seed: seed})
+				var f *Fault
+				if !errors.As(err, &f) {
+					t.Fatalf("seed %d: error %v is not a *Fault", seed, err)
+				}
+				if !strings.Contains(f.Msg, c.wantSub) {
+					t.Errorf("seed %d: error %q does not mention %q", seed, err, c.wantSub)
+				}
+				if f.TID != c.tid || f.Func != c.fn || f.PC != c.pc {
+					t.Errorf("seed %d: fault at thread %d %s:%d, want thread %d %s:%d",
+						seed, f.TID, f.Func, f.PC, c.tid, c.fn, c.pc)
+				}
 			}
 		})
 	}
@@ -493,20 +528,38 @@ func main 0 4 {
 	}
 }
 
+// TestMaxInstrs: the budget error lands on the first instruction past the
+// budget, whether that is an inline straight-line op or one that goes
+// through step (the Call in the loop), and with every slice length.
 func TestMaxInstrs(t *testing.T) {
 	src := `
+func f 0 2 {
+    ret r0
+}
 func main 0 2 {
 loop:
+    addi r0, r0, 1
+    addi r1, r1, 2
+    call _, f
     jmp loop
 }
 `
 	m := asm.MustAssemble("t", src)
-	mach, err := New(m, Options{MaxInstrs: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mach.Run(); err == nil || !strings.Contains(err.Error(), "budget") {
-		t.Errorf("err = %v", err)
+	for _, budget := range []uint64{1000, 1001, 1002, 1003, 1004} {
+		for seed := int64(1); seed <= 3; seed++ {
+			mach, err := New(m, Options{MaxInstrs: budget, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := mach.Run()
+			if err == nil || !strings.Contains(err.Error(), "budget") {
+				t.Errorf("budget %d seed %d: err = %v", budget, seed, err)
+			}
+			if res.Instrs != budget+1 || res.BaseCycles != budget+1 {
+				t.Errorf("budget %d seed %d: stopped at %d instrs, %d base cycles; want %d",
+					budget, seed, res.Instrs, res.BaseCycles, budget+1)
+			}
+		}
 	}
 }
 

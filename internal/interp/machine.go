@@ -45,8 +45,8 @@ type Options struct {
 	StackWords uint64
 	// MaxThreads bounds thread creation; default 1024.
 	MaxThreads int
-	// CollectPrints retains Print values in the result; default true
-	// behaviour is controlled by DropPrints.
+	// DropPrints discards Print values instead of retaining them in
+	// Result.Prints.
 	DropPrints bool
 	// Obs, when non-nil, receives execution telemetry at the end of Run:
 	// instruction/memory/sync totals, scheduler slice and preemption
@@ -133,7 +133,8 @@ type frame struct {
 	fn     *lir.Function
 	fnIdx  int32
 	pc     int32
-	regs   []uint64
+	regs   []uint64 // window of the thread's register stack at base
+	base   int
 	retReg int32  // register in the caller frame receiving the return value
 	mask   uint32 // sampler mask established by the dispatch check
 }
@@ -144,11 +145,71 @@ type thread struct {
 	state  tstate
 	ts     *core.ThreadState // nil when uninstrumented
 
+	// regStack holds every live frame's registers, innermost on top;
+	// regTop is the first free word.
+	regStack []uint64
+	regTop   int
+
 	stackNext uint64
 	stackEnd  uint64
 }
 
+// minRegStack is the register stack a thread starts with, in words.
+const minRegStack = 128
+
 func (t *thread) top() *frame { return &t.frames[len(t.frames)-1] }
+
+// pushFrame enters fn with a zeroed register window taken from the top of
+// the register stack. Growing the stack re-points every live frame's
+// window at the new array.
+func (t *thread) pushFrame(fn *lir.Function, fnIdx, retReg int32) *frame {
+	n := int(fn.NRegs)
+	if t.regTop+n > len(t.regStack) {
+		grown := make([]uint64, max(2*len(t.regStack), t.regTop+n, minRegStack))
+		copy(grown, t.regStack[:t.regTop])
+		for i := range t.frames {
+			fr := &t.frames[i]
+			fr.regs = grown[fr.base : fr.base+len(fr.regs)]
+		}
+		t.regStack = grown
+	}
+	regs := t.regStack[t.regTop : t.regTop+n]
+	clear(regs)
+	t.frames = append(t.frames, frame{fn: fn, fnIdx: fnIdx, regs: regs, base: t.regTop, retReg: retReg})
+	t.regTop += n
+	return t.top()
+}
+
+// popFrame leaves the top frame, releasing its register window.
+func (t *thread) popFrame() {
+	t.regTop = t.top().base
+	t.frames = t.frames[:len(t.frames)-1]
+}
+
+// runQueue is the FIFO of runnable thread IDs. Popping advances head; a
+// push into a full array first slides the queued IDs to the front, so the
+// array stops growing once it holds the most threads ever queued at once.
+type runQueue struct {
+	ids  []int32
+	head int
+}
+
+func (q *runQueue) push(tid int32) {
+	if len(q.ids) == cap(q.ids) && q.head > 0 {
+		n := copy(q.ids, q.ids[q.head:])
+		q.ids, q.head = q.ids[:n], 0
+	}
+	q.ids = append(q.ids, tid)
+}
+
+func (q *runQueue) pop() (int32, bool) {
+	if q.head == len(q.ids) {
+		return 0, false
+	}
+	tid := q.ids[q.head]
+	q.head++
+	return tid, true
+}
 
 type mutexState struct {
 	owner   int32 // -1 when free
@@ -171,7 +232,7 @@ type Machine struct {
 	globalAddrs []uint64
 
 	threads []*thread
-	runq    []int32
+	runq    runQueue
 	alive   int
 
 	mutexes map[uint64]*mutexState
@@ -249,24 +310,23 @@ func New(mod *lir.Module, opts Options) (*Machine, error) {
 // spawn creates a thread running function fn with optional argument arg.
 func (m *Machine) spawn(fn int32, arg uint64, hasArg bool) *thread {
 	tid := int32(len(m.threads))
-	f := m.mod.Funcs[fn]
-	fr := frame{fn: f, fnIdx: fn, pc: 0, regs: make([]uint64, f.NRegs), retReg: -1}
-	if hasArg && f.NParams > 0 {
-		fr.regs[0] = arg
-	}
 	th := &thread{
 		tid:       tid,
-		frames:    []frame{fr},
 		state:     tRunnable,
 		stackNext: StackBase + uint64(tid)*m.opts.StackWords,
 		stackEnd:  StackBase + uint64(tid+1)*m.opts.StackWords,
 	}
-	m.mem.mapRange(th.stackNext, m.opts.StackWords)
+	f := m.mod.Funcs[fn]
+	fr := th.pushFrame(f, fn, -1)
+	if hasArg && f.NParams > 0 {
+		fr.regs[0] = arg
+	}
+	m.mem.stackEnd = th.stackEnd
 	if m.opts.Runtime != nil {
 		th.ts = m.opts.Runtime.Thread(tid)
 	}
 	m.threads = append(m.threads, th)
-	m.runq = append(m.runq, tid)
+	m.runq.push(tid)
 	m.alive++
 	m.totalSpawns++
 	return th
@@ -312,11 +372,10 @@ func (m *Machine) loop() error {
 	schedLog := m.opts.Runtime != nil && m.opts.Runtime.SchedLogEnabled()
 	live := m.opts.Obs != nil || m.opts.OnLive != nil
 	for m.alive > 0 {
-		if len(m.runq) == 0 {
+		tid, ok := m.runq.pop()
+		if !ok {
 			return m.deadlockError()
 		}
-		tid := m.runq[0]
-		m.runq = m.runq[1:]
 		th := m.threads[tid]
 		if th.state != tRunnable {
 			continue
@@ -330,20 +389,15 @@ func (m *Machine) loop() error {
 				return err
 			}
 		}
-		for i := 0; i < quantum && th.state == tRunnable && !m.yieldSlice; i++ {
-			if err := m.step(th); err != nil {
-				return err
-			}
-			if m.res.Instrs > m.opts.MaxInstrs {
-				return fmt.Errorf("interp: instruction budget %d exceeded", m.opts.MaxInstrs)
-			}
+		if err := m.runSlice(th, quantum); err != nil {
+			return err
 		}
 		involuntary := th.state == tRunnable && !m.yieldSlice
 		if th.state == tRunnable {
 			if involuntary {
 				m.preemptions++ // quantum expired with the thread still willing to run
 			}
-			m.runq = append(m.runq, tid)
+			m.runq.push(tid)
 		}
 		if schedLog && th.ts != nil {
 			op := trace.OpSliceEnd

@@ -8,9 +8,12 @@ import (
 
 // memory is a sparse, page-granular word-addressed address space.
 // Accessing an unmapped page is a fault, which catches wild pointers in
-// workload programs early.
+// workload programs early. Thread stacks are mapped a page at a time on
+// first touch: every page from StackBase up to the one holding
+// stackEnd-1 is valid and reads zero until written.
 type memory struct {
-	pages map[uint64]*[lir.PageWords]uint64
+	pages    map[uint64]*[lir.PageWords]uint64
+	stackEnd uint64 // end of the highest spawned thread's stack
 
 	// One-entry translation cache: most accesses hit the same page
 	// repeatedly.
@@ -28,6 +31,10 @@ func (m *memory) page(addr uint64) *[lir.PageWords]uint64 {
 		return m.lastPtr
 	}
 	pg := m.pages[p]
+	if pg == nil && addr >= StackBase && p <= lir.PageOf(m.stackEnd-1) {
+		pg = new([lir.PageWords]uint64)
+		m.pages[p] = pg
+	}
 	if pg != nil {
 		m.lastPage, m.lastPtr = p, pg
 	}
@@ -116,13 +123,4 @@ func (a *allocator) release(addr uint64) (uint64, error) {
 	delete(a.live, addr)
 	a.free[size] = append(a.free[size], addr)
 	return size, nil
-}
-
-// liveBytes returns the number of live allocated words (diagnostics).
-func (a *allocator) liveWords() uint64 {
-	var n uint64
-	for _, s := range a.live {
-		n += s
-	}
-	return n
 }
