@@ -341,11 +341,10 @@ func BenchmarkInstrumentedInterpreter(b *testing.B) {
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
 }
 
-// BenchmarkDetector measures offline happens-before detection throughput
-// over a decoded log (events per second drive the offline phase's cost,
-// §3.2's "the offline algorithm needs to process fewer events").
-func BenchmarkDetector(b *testing.B) {
-	// Build one dryad log in memory.
+// dryadFullLog runs dryad under full logging with schedule seed 1 and
+// returns the encoded log.
+func dryadFullLog(b *testing.B) []byte {
+	b.Helper()
 	bench, _ := workloads.ByKey("dryad")
 	mod, err := bench.Module(1)
 	if err != nil {
@@ -378,7 +377,14 @@ func BenchmarkDetector(b *testing.B) {
 	if err := w.Close(mach.Meta(res)); err != nil {
 		b.Fatal(err)
 	}
-	log, err := trace.ReadAll(&buf)
+	return buf.Bytes()
+}
+
+// BenchmarkDetector measures offline happens-before detection throughput
+// over a decoded log (events per second drive the offline phase's cost,
+// §3.2's "the offline algorithm needs to process fewer events").
+func BenchmarkDetector(b *testing.B) {
+	log, err := trace.ReadAll(bytes.NewReader(dryadFullLog(b)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -390,6 +396,25 @@ func BenchmarkDetector(b *testing.B) {
 		}
 	}
 	b.ReportMetric(events*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkReadAll measures batch decoding of a whole log: the framing
+// scan, the per-thread decode (one worker per thread, up to GOMAXPROCS)
+// and the pass that builds the chunk order.
+func BenchmarkReadAll(b *testing.B) {
+	data := dryadFullLog(b)
+	var events int
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		log, err := trace.ReadAll(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		events = log.NumEvents()
+	}
+	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
 // BenchmarkLogCodec measures trace encode+decode round-trip throughput.

@@ -470,22 +470,20 @@ func emitFlows(order []trace.Event, ts []int64, edges []edgeSeq, races []raceSeq
 }
 
 // emitRecorderTrack draws checkpoint markers (from the raw chunk
-// structure, LTRC2 only) and per-thread salvage-gap markers.
+// structure) and per-thread salvage-gap markers.
 func emitRecorderTrack(data []byte, log *trace.Log, perThread map[int32][]int, ts []int64, maxTS int64, stats *Stats, emit func(tev)) {
-	if trace.IsLTRC2(data) {
-		if spans, err := trace.ChunkSpans(data); err == nil && len(data) > 0 {
-			for _, sp := range spans {
-				if !sp.IsCheckpoint() {
-					continue
-				}
-				// Checkpoints carry no clock; place them proportionally
-				// by byte offset, which tracks emission order.
-				at := maxTS * int64(sp.Start) / int64(len(data))
-				emit(tev{Name: "checkpoint", Cat: "trace", Ph: "i", Scope: "t",
-					TS: at, PID: pid, TID: recorderTID,
-					Args: map[string]any{"offset": sp.Start}})
-				stats.Checkpoints++
+	if spans, err := trace.ChunkSpans(data); err == nil && len(data) > 0 {
+		for _, sp := range spans {
+			if !sp.IsCheckpoint() {
+				continue
 			}
+			// Checkpoints carry no clock; place them proportionally
+			// by byte offset, which tracks emission order.
+			at := maxTS * int64(sp.Start) / int64(len(data))
+			emit(tev{Name: "checkpoint", Cat: "trace", Ph: "i", Scope: "t",
+				TS: at, PID: pid, TID: recorderTID,
+				Args: map[string]any{"offset": sp.Start}})
+			stats.Checkpoints++
 		}
 	}
 	for tid, idx := range log.Degraded {

@@ -56,11 +56,6 @@ func FuzzStreamParity(f *testing.F) {
 	magic := []byte("LTRC2\n")
 
 	f.Fuzz(func(t *testing.T, data []byte, split uint16, shards uint8) {
-		if bytes.HasPrefix(data, []byte("LTRC1\n")) {
-			// Legacy logs have no markers: salvage handles them, the
-			// incremental decoder rejects them by contract.
-			return
-		}
 		slog, srep, serr := trace.Salvage(bytes.NewReader(data))
 
 		p := stream.New(stream.Options{

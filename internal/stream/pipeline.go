@@ -525,8 +525,8 @@ func (p *Pipeline) flushAll() {
 // Feed appends encoded log bytes. Chunks completed by this piece are
 // decoded, merged, and their sampled accesses dispatched immediately.
 // The error is non-nil only when the input is not an LTRC2 log at all
-// (including ErrLegacyStream for LTRC1); damage within the stream is
-// recovered from and accounted, never fatal.
+// (an LTRC1 log included); damage within the stream is recovered from
+// and accounted, never fatal.
 func (p *Pipeline) Feed(b []byte) error {
 	if p.finished {
 		return errors.New("stream: feed after finish")

@@ -10,9 +10,12 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"os"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"literace/internal/obs"
 )
@@ -44,13 +47,13 @@ import (
 // Chunks from the same thread appear in program order; chunks from
 // different threads interleave arbitrarily (each thread flushes its own
 // buffer, mirroring the paper's per-thread log buffers).
-//
-// ReadAll also accepts the legacy LTRC1 format (no markers, CRCs,
-// sequence numbers, or checkpoints; thread chunks use tag tid+1).
 
 const (
+	magic = "LTRC2\n"
+	// magicV1 opened LTRC1 logs, the format before chunk markers, CRCs
+	// and sequence numbers. Nothing writes or reads it any more; the
+	// decoders recognize it only to name it when they reject it.
 	magicV1 = "LTRC1\n"
-	magic   = "LTRC2\n"
 
 	// tag namespace of LTRC2 chunks.
 	tagMeta       = 0
@@ -415,39 +418,51 @@ func (l *Log) TIDs() []int32 {
 	return out
 }
 
-// ReadAll decodes a complete log from r: LTRC2 (with every CRC, sequence
-// number, and the metadata trailer verified) or the legacy LTRC1 format.
-// Any truncation, corruption, or gap is an error; use Salvage to extract
-// a best-effort log from damaged input.
+// ReadAll decodes a complete LTRC2 log from r, with every CRC, sequence
+// number, and the metadata trailer verified. Any truncation, corruption,
+// or gap is an error; use Salvage to extract a best-effort log from
+// damaged input.
 //
-// The whole input is read into one buffer first. A pass over the chunk
-// headers then verifies the framing and locates every thread chunk, and
-// a second pass decodes each thread into a single slice allocated once
-// at its final capacity, so no event is copied after it is decoded.
+// The whole input is read into one buffer first. A sequential pass over
+// the chunk headers then verifies the framing and lists the thread
+// chunks, the decode stage decodes each thread into a single slice
+// allocated once, in parallel across threads, and a last pass in byte
+// order builds ChunkOrder. When several chunks hold undecodable events,
+// the error returned is the one of the chunk that comes first in the
+// input, whichever thread it belongs to.
 func ReadAll(r io.Reader) (*Log, error) {
 	data, err := readInput(r)
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading log: %w", err)
 	}
-	log := &Log{}
-	var chunks []threadChunk
 	switch {
-	case bytes.HasPrefix(data, []byte(magic)):
-		chunks, err = scanV2(data, log)
-	case bytes.HasPrefix(data, []byte(magicV1)):
-		chunks, err = scanV1(data, log)
 	case len(data) < len(magic):
 		return nil, fmt.Errorf("trace: reading magic: %w", io.ErrUnexpectedEOF)
-	default:
-		return nil, fmt.Errorf("trace: bad magic %q", data[:len(magic)])
+	case !bytes.HasPrefix(data, []byte(magic)):
+		return nil, fmt.Errorf("trace: %w", errBadMagic(data))
 	}
+	log := &Log{}
+	chunks, err := scanV2(data, log)
 	if err != nil {
 		return nil, err
 	}
-	if err := decodeChunks(log, chunks); err != nil {
-		return nil, err
+	decodeThreads(log, chunks)
+	for _, c := range chunks {
+		if c.err != nil {
+			return nil, c.err
+		}
 	}
 	return log, nil
+}
+
+// errBadMagic describes input that does not begin with the LTRC2 magic.
+// LTRC1 input is named as such: it is a LiteRace log, just one in a
+// format no decoder reads any more.
+func errBadMagic(data []byte) error {
+	if bytes.HasPrefix(data, []byte(magicV1)) {
+		return errors.New("bad magic: LTRC1 logs (no chunk markers or CRCs) are no longer read, only LTRC2")
+	}
+	return fmt.Errorf("bad magic %q", data[:min(len(data), len(magic))])
 }
 
 // readInput reads all of r. When r reports its size — Len() on an
@@ -479,11 +494,16 @@ func readInput(r io.Reader) ([]byte, error) {
 	}
 }
 
-// threadChunk is one thread chunk's event payload: located and verified
-// by ReadAll's header pass, decoded by its second pass.
+// threadChunk is one accepted thread chunk: its event payload, listed in
+// byte order by a scan pass (ReadAll's scanV2 or Salvage's resyncing
+// scan), and what the decode pass made of it.
 type threadChunk struct {
 	tid     int32
 	payload []byte
+
+	n        int   // events decoded
+	consumed int   // payload bytes those events occupy
+	err      error // why decoding stopped before the end of the payload
 }
 
 // scanV2 strictly verifies the LTRC2 chunk stream in data — markers,
@@ -545,78 +565,107 @@ func chunkCRC(tag uint64, payload []byte) uint32 {
 	return crc32.Update(crc, crc32.IEEETable, payload)
 }
 
-// scanV1 verifies the framing of a legacy LTRC1 chunk stream in data and
-// returns the thread chunks in byte order.
-func scanV1(data []byte, log *Log) ([]threadChunk, error) {
-	var chunks []threadChunk
-	sawMeta := false
-	for off := len(magicV1); off < len(data); {
-		tag, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return nil, fmt.Errorf("trace: bad chunk tag at offset %d", off)
-		}
-		off += n
-		size, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return nil, fmt.Errorf("trace: bad chunk size at offset %d", off)
-		}
-		off += n
-		if size > uint64(len(data)-off) {
-			return nil, fmt.Errorf("trace: chunk payload at offset %d extends past end of input", off)
-		}
-		payload := data[off : off+int(size)]
-		off += int(size)
-		if tag == 0 {
-			if err := json.Unmarshal(payload, &log.Meta); err != nil {
-				return nil, fmt.Errorf("trace: decoding meta: %w", err)
-			}
-			sawMeta = true
-			continue
-		}
-		chunks = append(chunks, threadChunk{tid: int32(uint32(tag - 1)), payload: payload})
-	}
-	if !sawMeta {
-		return nil, errors.New("trace: truncated log: no metadata trailer")
-	}
-	return chunks, nil
-}
-
-// minEventBytes is the smallest encoded event: kind, op and four
-// one-byte varints (a memory access). A payload of n bytes therefore
-// holds at most n/minEventBytes events.
+// minEventBytes is the least number of bytes below 0x80 in an encoded
+// event: kind, op, and the last byte of each of at least four varints
+// (three for PC and address, then the mask, or the timestamp after the
+// counter byte). A payload holding n such bytes therefore holds at most
+// n/minEventBytes events.
 const minEventBytes = 6
 
-// decodeChunks decodes chunks into log.Threads and log.ChunkOrder. Each
-// thread's slice is allocated once with room for the most events its
-// payload bytes could hold, so appending never reallocates.
-func decodeChunks(log *Log, chunks []threadChunk) error {
-	size := make(map[int32]int)
-	for _, c := range chunks {
-		size[c.tid] += len(c.payload)
+// decodeThreads is the decode pass of the decode stage shared by ReadAll
+// and Salvage. It decodes every chunk into log.Threads, records each
+// chunk's n, consumed and err, and then lists the chunks that yielded
+// events in log.ChunkOrder, in byte order. Workers, min(GOMAXPROCS,
+// threads) of them, take whole threads, largest first; each decodes its
+// thread's chunks in order into one slice allocated once with room for
+// the most events the payloads could hold, so appending never
+// reallocates. A chunk that fails to decode keeps its prefix, and the
+// thread's later chunks still decode: what an error means is for the
+// caller's finishing pass to decide.
+func decodeThreads(log *Log, chunks []threadChunk) {
+	var threads []decodeThread
+	at := make(map[int32]int)
+	for i, c := range chunks {
+		t, ok := at[c.tid]
+		if !ok {
+			t = len(threads)
+			at[c.tid] = t
+			threads = append(threads, decodeThread{tid: c.tid})
+		}
+		threads[t].chunks = append(threads[t].chunks, i)
+		threads[t].bytes += len(c.payload)
 	}
-	log.Threads = make(map[int32][]Event, len(size))
-	for tid, n := range size {
-		log.Threads[tid] = make([]Event, 0, n/minEventBytes)
+	sort.Slice(threads, func(i, j int) bool { return threads[i].bytes > threads[j].bytes })
+
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < len(threads); i = int(next.Add(1)) - 1 {
+			threads[i].decode(chunks)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), len(threads)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+
+	log.Threads = make(map[int32][]Event, len(threads))
+	for _, t := range threads {
+		log.Threads[t.tid] = t.evs
 	}
 	for _, c := range chunks {
-		evs := log.Threads[c.tid]
+		if c.n > 0 {
+			log.ChunkOrder = append(log.ChunkOrder, ChunkRef{TID: c.tid, N: c.n})
+		}
+	}
+}
+
+// decodeThread is one thread's share of the decode pass.
+type decodeThread struct {
+	tid    int32
+	chunks []int // indices into the chunk list, in byte order
+	bytes  int   // payload bytes, which rank threads for the workers
+	evs    []Event
+}
+
+func (t *decodeThread) decode(chunks []threadChunk) {
+	low := 0
+	for _, i := range t.chunks {
+		low += lowBytes(chunks[i].payload)
+	}
+	evs := make([]Event, 0, low/minEventBytes)
+	for _, i := range t.chunks {
+		c := &chunks[i]
 		n0 := len(evs)
-		evs, _, err := appendEvents(evs, c.tid, c.payload)
-		if err != nil {
-			return err
-		}
-		log.Threads[c.tid] = evs
-		if len(evs) > n0 {
-			log.ChunkOrder = append(log.ChunkOrder, ChunkRef{TID: c.tid, N: len(evs) - n0})
+		evs, c.consumed, c.err = appendEvents(evs, c.tid, c.payload)
+		c.n = len(evs) - n0
+	}
+	t.evs = evs
+}
+
+// lowBytes counts the bytes of b below 0x80, eight at a time.
+func lowBytes(b []byte) int {
+	n := len(b)
+	for ; len(b) >= 8; b = b[8:] {
+		n -= bits.OnesCount64(binary.LittleEndian.Uint64(b) & 0x8080808080808080)
+	}
+	for _, c := range b {
+		if c >= 0x80 {
+			n--
 		}
 	}
-	return nil
+	return n
 }
 
 // decodeEventsPrefix decodes as many complete events as payload holds
-// into a fresh slice; see appendEvents.
+// into a fresh slice, sized like the decode pass's; see appendEvents.
 func decodeEventsPrefix(tid int32, payload []byte) ([]Event, int, error) {
-	return appendEvents(make([]Event, 0, len(payload)/minEventBytes), tid, payload)
+	return appendEvents(make([]Event, 0, lowBytes(payload)/minEventBytes), tid, payload)
 }
 
 // appendEvents decodes as many complete events as payload holds onto

@@ -4,10 +4,9 @@
 // replayed buffers). Every mutation returns a fresh slice and leaves the
 // input intact, so one pristine log can seed an arbitrary fault corpus.
 //
-// The package works on raw encoded bytes and uses trace.ChunkSpans as its
-// map of chunk boundaries, so it supports both LTRC1 and LTRC2 logs. All
-// randomness flows through an explicit *rand.Rand: a seeded fault corpus
-// is fully reproducible.
+// The package works on raw encoded LTRC2 bytes and uses trace.ChunkSpans
+// as its map of chunk boundaries. All randomness flows through an
+// explicit *rand.Rand: a seeded fault corpus is fully reproducible.
 package faultinject
 
 import (

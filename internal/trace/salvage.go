@@ -30,7 +30,7 @@ type ThreadLoss struct {
 // The byte accounting is exact: MagicBytes + BytesOK + BytesDropped ==
 // TotalBytes.
 type SalvageReport struct {
-	Format     string `json:"format"`      // "LTRC2" or "LTRC1"
+	Format     string `json:"format"`      // always "LTRC2"
 	TotalBytes int64  `json:"total_bytes"` // input size
 	MagicBytes int64  `json:"magic_bytes"` // leading magic consumed
 	BytesOK    int64  `json:"bytes_ok"`    // bytes inside accepted chunks
@@ -110,7 +110,7 @@ func (r *SalvageReport) thread(tid int32) *ThreadLoss {
 // checkpoint. The returned Log has Degraded set for every thread whose
 // stream lost a chunk, so degraded-mode replay can tell which orderings
 // are suspect. The error is non-nil only when the input cannot be read
-// or is not a LiteRace log at all.
+// or does not begin with the LTRC2 magic (an LTRC1 log included).
 func Salvage(r io.Reader) (*Log, *SalvageReport, error) {
 	return SalvageObs(r, nil)
 }
@@ -122,16 +122,10 @@ func SalvageObs(r io.Reader, reg *obs.Registry) (*Log, *SalvageReport, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("trace: salvage: %w", err)
 	}
-	var log *Log
-	var rep *SalvageReport
-	switch {
-	case bytes.HasPrefix(data, []byte(magic)):
-		log, rep = salvageV2(data)
-	case bytes.HasPrefix(data, []byte(magicV1)):
-		log, rep = salvageV1(data)
-	default:
-		return nil, nil, fmt.Errorf("trace: salvage: not a LiteRace log (bad magic)")
+	if !bytes.HasPrefix(data, []byte(magic)) {
+		return nil, nil, fmt.Errorf("trace: salvage: %w", errBadMagic(data))
 	}
+	log, rep := salvageV2(data)
 	if reg != nil {
 		reg.Counter("trace.crc_failures").Add(uint64(rep.CRCFailures))
 		reg.Counter("trace.salvaged_chunks").Add(uint64(rep.ChunksOK))
@@ -199,6 +193,10 @@ func isTruncatedVarint(b []byte) bool {
 	return true
 }
 
+// salvageV2 runs the decode stage over a damaged log: a resynchronizing
+// scan lists the accepted thread chunks, the decode pass decodes them
+// per thread in parallel, and a finishing pass in byte order settles
+// what the decoded chunks add to the report and to Log.Degraded.
 func salvageV2(data []byte) (*Log, *SalvageReport) {
 	rep := &SalvageReport{
 		Format:     "LTRC2",
@@ -206,18 +204,21 @@ func salvageV2(data []byte) (*Log, *SalvageReport) {
 		MagicBytes: int64(len(magic)),
 		MetaSource: "none",
 	}
-	log := &Log{Threads: make(map[int32][]Event)}
+	log := &Log{}
+	var chunks []threadChunk
 	lastSeq := make(map[int32]uint64)
 	sawMeta := false
 	var ckpt *Meta
 	ckptAt := int64(-1)
 
+	// accepted counts each thread's accepted chunks so far; marks holds
+	// each damaged thread's first degrade mark, as "before its accepted
+	// chunk k", which the finishing pass turns into an event index.
+	accepted := make(map[int32]int)
+	marks := make(map[int32]int)
 	markDegraded := func(tid int32) {
-		if log.Degraded == nil {
-			log.Degraded = make(map[int32]int)
-		}
-		if _, ok := log.Degraded[tid]; !ok {
-			log.Degraded[tid] = len(log.Threads[tid])
+		if _, ok := marks[tid]; !ok {
+			marks[tid] = accepted[tid]
 		}
 	}
 	// dropTo accounts for the skipped region [from, to) and remembers the
@@ -341,26 +342,47 @@ func salvageV2(data []byte) (*Log, *SalvageReport) {
 				markDegraded(tid)
 			}
 			lastSeq[tid] = seq
-			evs, n, derr := decodeEventsPrefix(tid, rest)
-			tl.EventsSalvaged += len(evs)
-			rep.EventsSalvaged += len(evs)
-			log.Threads[tid] = append(log.Threads[tid], evs...)
-			if len(evs) > 0 {
-				log.ChunkOrder = append(log.ChunkOrder, ChunkRef{TID: tid, N: len(evs)})
-			}
-			if derr != nil {
-				// CRC-valid but undecodable tail (writer bug or a CRC
-				// collision): keep the prefix, mark the thread suspect.
-				tl.DroppedBytes += int64(len(rest) - n)
-				markDegraded(tid)
-				rep.BytesDropped += int64(len(rest) - n)
-				rep.BytesOK += int64(end-off) - int64(len(rest)-n)
-			} else {
-				rep.BytesOK += int64(end - off)
-			}
+			chunks = append(chunks, threadChunk{tid: tid, payload: rest})
+			accepted[tid]++
+			rep.BytesOK += int64(end - off)
 			rep.ChunksOK++
 		}
 		off = end
+	}
+
+	decodeThreads(log, chunks)
+	events := make(map[int32]int, len(log.Threads)) // decoded so far, per thread
+	degrade := func(tid int32) {
+		if log.Degraded == nil {
+			log.Degraded = make(map[int32]int)
+		}
+		if _, ok := log.Degraded[tid]; !ok {
+			log.Degraded[tid] = events[tid]
+		}
+	}
+	clear(accepted) // now counts the chunks the finishing pass has seen
+	for _, c := range chunks {
+		if k, ok := marks[c.tid]; ok && k == accepted[c.tid] {
+			degrade(c.tid)
+		}
+		accepted[c.tid]++
+		events[c.tid] += c.n
+		tl := rep.Threads[c.tid]
+		tl.EventsSalvaged += c.n
+		rep.EventsSalvaged += c.n
+		if c.err != nil {
+			// CRC-valid but undecodable tail (writer bug or a CRC
+			// collision): keep the prefix, mark the thread suspect.
+			lost := int64(len(c.payload) - c.consumed)
+			tl.DroppedBytes += lost
+			rep.BytesDropped += lost
+			rep.BytesOK -= lost
+			degrade(c.tid)
+		}
+	}
+	// Marks past a thread's last accepted chunk, or on a thread with none.
+	for tid := range marks {
+		degrade(tid)
 	}
 
 	switch {
@@ -374,150 +396,38 @@ func salvageV2(data []byte) (*Log, *SalvageReport) {
 	return log, rep
 }
 
-// salvageV1 decodes a legacy LTRC1 log leniently: the format has no
-// markers or CRCs, so there is no resynchronization — decoding stops at
-// the first damage and everything before it is kept.
-func salvageV1(data []byte) (*Log, *SalvageReport) {
-	rep := &SalvageReport{
-		Format:     "LTRC1",
-		TotalBytes: int64(len(data)),
-		MagicBytes: int64(len(magicV1)),
-		MetaSource: "none",
-	}
-	log := &Log{Threads: make(map[int32][]Event)}
-	off := len(magicV1)
-	sawMeta := false
-	truncate := func(at int) {
-		rep.Truncated = true
-		rep.TruncatedAt = int64(at)
-		rep.BytesDropped += int64(len(data) - at)
-	}
-	for off < len(data) {
-		start := off
-		tag, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			truncate(start)
-			break
-		}
-		off += n
-		size, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			truncate(start)
-			break
-		}
-		off += n
-		if size > uint64(len(data)-off) {
-			truncate(start)
-			break
-		}
-		payload := data[off : off+int(size)]
-		off += int(size)
-		if tag == 0 {
-			if err := json.Unmarshal(payload, &log.Meta); err != nil {
-				rep.ChunksDropped++
-				rep.BytesDropped += int64(off - start)
-				continue
-			}
-			sawMeta = true
-			rep.ChunksOK++
-			rep.BytesOK += int64(off - start)
-			continue
-		}
-		tid := int32(uint32(tag - 1))
-		tl := rep.thread(tid)
-		evs, consumed, derr := decodeEventsPrefix(tid, payload)
-		tl.EventsSalvaged += len(evs)
-		rep.EventsSalvaged += len(evs)
-		log.Threads[tid] = append(log.Threads[tid], evs...)
-		if len(evs) > 0 {
-			log.ChunkOrder = append(log.ChunkOrder, ChunkRef{TID: tid, N: len(evs)})
-		}
-		if derr != nil {
-			// Without CRCs a bad event byte may mean anything; keep the
-			// prefix and stop trusting the remainder of the stream.
-			tl.DroppedBytes += int64(len(payload) - consumed)
-			if log.Degraded == nil {
-				log.Degraded = make(map[int32]int)
-			}
-			if _, ok := log.Degraded[tid]; !ok {
-				log.Degraded[tid] = len(log.Threads[tid])
-			}
-			rep.BytesOK += int64(off-start) - int64(len(payload)-consumed)
-			rep.BytesDropped += int64(len(payload) - consumed)
-			rep.Truncated = true
-			rep.TruncatedAt = int64(off)
-			rep.BytesDropped += int64(len(data) - off)
-			break
-		}
-		rep.ChunksOK++
-		rep.BytesOK += int64(off - start)
-	}
-	if sawMeta {
-		rep.MetaSource = "trailer"
-	}
-	return log, rep
-}
-
 // ChunkSpan locates one chunk inside an encoded log.
 type ChunkSpan struct {
 	Start, End int    // byte offsets: [Start, End)
 	Tag        uint64 // raw chunk tag
 }
 
-// IsCheckpoint reports whether an LTRC2 span is a periodic metadata
-// checkpoint chunk. (LTRC1 logs have no checkpoints, and their tag
-// namespace differs; callers must check the log format first.)
+// IsCheckpoint reports whether a span is a periodic metadata checkpoint
+// chunk.
 func (c ChunkSpan) IsCheckpoint() bool { return c.Tag == tagCheckpoint }
 
-// IsMeta reports whether an LTRC2 span is the metadata trailer.
+// IsMeta reports whether a span is the metadata trailer.
 func (c ChunkSpan) IsMeta() bool { return c.Tag == tagMeta }
 
-// IsLTRC2 reports whether data begins with the current LTRC2 magic, i.e.
-// whether ChunkSpans tags follow the LTRC2 namespace.
-func IsLTRC2(data []byte) bool { return bytes.HasPrefix(data, []byte(magic)) }
-
-// ChunkSpans enumerates the chunks of a structurally valid encoded log
-// (either format). It is the fault-injection harness's map of where it
-// may cut, drop, or duplicate.
+// ChunkSpans enumerates the chunks of a structurally valid encoded log.
+// It is the fault-injection harness's map of where it may cut, drop, or
+// duplicate.
 func ChunkSpans(data []byte) ([]ChunkSpan, error) {
-	switch {
-	case bytes.HasPrefix(data, []byte(magic)):
-		var spans []ChunkSpan
-		off := len(magic)
-		for off < len(data) {
-			if !bytes.HasPrefix(data[off:], chunkMarker[:]) {
-				return nil, fmt.Errorf("trace: no chunk marker at offset %d", off)
-			}
-			tag, _, end, _, err := parseChunkV2(data, off)
-			if err != nil {
-				return nil, fmt.Errorf("trace: chunk at offset %d: %w", off, err)
-			}
-			spans = append(spans, ChunkSpan{Start: off, End: end, Tag: tag})
-			off = end
-		}
-		return spans, nil
-	case bytes.HasPrefix(data, []byte(magicV1)):
-		var spans []ChunkSpan
-		off := len(magicV1)
-		for off < len(data) {
-			start := off
-			tag, n := binary.Uvarint(data[off:])
-			if n <= 0 {
-				return nil, fmt.Errorf("trace: bad chunk tag at offset %d", off)
-			}
-			off += n
-			size, n := binary.Uvarint(data[off:])
-			if n <= 0 {
-				return nil, fmt.Errorf("trace: bad chunk size at offset %d", off)
-			}
-			off += n
-			if size > uint64(len(data)-off) {
-				return nil, fmt.Errorf("trace: chunk at offset %d extends past end", start)
-			}
-			off += int(size)
-			spans = append(spans, ChunkSpan{Start: start, End: off, Tag: tag})
-		}
-		return spans, nil
+	if !bytes.HasPrefix(data, []byte(magic)) {
+		return nil, fmt.Errorf("trace: %w", errBadMagic(data))
 	}
-	return nil, errors.New("trace: bad magic")
+	var spans []ChunkSpan
+	off := len(magic)
+	for off < len(data) {
+		if !bytes.HasPrefix(data[off:], chunkMarker[:]) {
+			return nil, fmt.Errorf("trace: no chunk marker at offset %d", off)
+		}
+		tag, _, end, _, err := parseChunkV2(data, off)
+		if err != nil {
+			return nil, fmt.Errorf("trace: chunk at offset %d: %w", off, err)
+		}
+		spans = append(spans, ChunkSpan{Start: off, End: end, Tag: tag})
+		off = end
+	}
+	return spans, nil
 }

@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -316,67 +315,6 @@ func TestSalvageCheckpointFallback(t *testing.T) {
 	}
 }
 
-// encodeV1 builds a legacy LTRC1 log by hand (the writer only emits LTRC2).
-func encodeV1(t *testing.T, metaJSON []byte, chunks map[int32][][]Event) []byte {
-	t.Helper()
-	out := []byte(magicV1)
-	appendChunk := func(tag uint64, payload []byte) {
-		out = binary.AppendUvarint(out, tag)
-		out = binary.AppendUvarint(out, uint64(len(payload)))
-		out = append(out, payload...)
-	}
-	for tid, batches := range chunks {
-		for _, evs := range batches {
-			var payload []byte
-			for _, e := range evs {
-				payload = appendEvent(payload, e)
-			}
-			appendChunk(uint64(uint32(tid))+1, payload)
-		}
-	}
-	if metaJSON != nil {
-		appendChunk(0, metaJSON)
-	}
-	return out
-}
-
-func TestSalvageV1(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	evs := make([]Event, 50)
-	for i := range evs {
-		evs[i] = randomEvent(r, 1)
-	}
-	metaJSON, _ := json.Marshal(Meta{Module: "v1"})
-	data := encodeV1(t, metaJSON, map[int32][][]Event{1: {evs[:30], evs[30:]}})
-
-	log, rep, err := Salvage(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkRecon(t, rep)
-	if rep.Format != "LTRC1" || rep.Lossy() {
-		t.Errorf("v1 salvage: %s", rep.Summary())
-	}
-	if !reflect.DeepEqual(log.Threads[1], evs) {
-		t.Errorf("v1 decoded %d events, want %d", len(log.Threads[1]), len(evs))
-	}
-	if log.Meta.Module != "v1" {
-		t.Errorf("v1 meta: %+v", log.Meta)
-	}
-
-	// Truncations keep a per-thread prefix and never error.
-	for cut := len(magicV1); cut < len(data); cut += 7 {
-		log, rep, err := Salvage(bytes.NewReader(data[:cut]))
-		if err != nil {
-			t.Fatalf("v1 cut at %d: %v", cut, err)
-		}
-		checkRecon(t, rep)
-		if !isPrefix(log.Threads[1], evs) {
-			t.Errorf("v1 cut at %d: not a prefix", cut)
-		}
-	}
-}
-
 func TestSalvageObsTelemetry(t *testing.T) {
 	data, _ := buildLog(t, 9, 1, 80, 20)
 	spans, err := ChunkSpans(data)
@@ -428,12 +366,5 @@ func TestReadAllBoundedAllocation(t *testing.T) {
 	v2 = binary.AppendUvarint(v2, 1<<40)
 	if _, err := ReadAll(bytes.NewReader(v2)); err == nil {
 		t.Error("LTRC2 accepted a 1TB chunk length")
-	}
-	// LTRC1: a length past the end of the input is rejected before any
-	// payload is decoded.
-	v1 := append([]byte(magicV1), 0x01)
-	v1 = binary.AppendUvarint(v1, 1<<40)
-	if _, err := ReadAll(bytes.NewReader(v1)); err == nil {
-		t.Error("LTRC1 accepted a 1TB chunk length")
 	}
 }

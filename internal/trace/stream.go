@@ -4,14 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 )
-
-// ErrLegacyStream is returned by Stream.Feed for LTRC1 input: the legacy
-// format has no chunk markers or CRCs, so it cannot be decoded
-// incrementally with resynchronization. Use ReadAll or Salvage instead.
-var ErrLegacyStream = errors.New("trace: stream: legacy LTRC1 log (no markers); use ReadAll or Salvage")
-
-var errStreamNotALog = errors.New("trace: stream: not a LiteRace log (bad magic)")
 
 // Stream is an incremental LTRC2 decoder: feed it the encoded log in
 // arbitrary pieces (tailing a growing file, reading a socket) and it
@@ -105,26 +99,17 @@ func (s *Stream) Feed(p []byte) error {
 		s.buf = append(s.buf, p...)
 	}
 	if !s.magicDone {
+		// Reject as soon as the prefix can no longer extend to a magic.
+		if !bytes.HasPrefix(s.buf, []byte(magic)) && !bytes.HasPrefix([]byte(magic), s.buf) {
+			s.err = fmt.Errorf("trace: stream: %w", errBadMagic(s.buf))
+			return s.err
+		}
 		if len(s.buf) < len(magic) {
-			// Reject early when the prefix can no longer extend to a magic.
-			if !bytes.HasPrefix([]byte(magic), s.buf) && !bytes.HasPrefix([]byte(magicV1), s.buf) {
-				s.err = errStreamNotALog
-				return s.err
-			}
 			return nil
 		}
-		switch {
-		case bytes.HasPrefix(s.buf, []byte(magic)):
-			s.magicDone = true
-			s.rep.MagicBytes = int64(len(magic))
-			s.consume(len(magic))
-		case bytes.HasPrefix(s.buf, []byte(magicV1)):
-			s.err = ErrLegacyStream
-			return s.err
-		default:
-			s.err = errStreamNotALog
-			return s.err
-		}
+		s.magicDone = true
+		s.rep.MagicBytes = int64(len(magic))
+		s.consume(len(magic))
 	}
 	s.parse(false)
 	return nil

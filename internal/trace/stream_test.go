@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -240,12 +239,8 @@ func TestStreamTrailingGarbageDrainedBeforeFinish(t *testing.T) {
 	}
 }
 
-func TestStreamRejectsLegacyAndGarbage(t *testing.T) {
+func TestStreamRejectsGarbage(t *testing.T) {
 	s := NewStream(nil)
-	if err := s.Feed([]byte("LTRC1\nxxxx")); !errors.Is(err, ErrLegacyStream) {
-		t.Fatalf("LTRC1 feed error = %v, want ErrLegacyStream", err)
-	}
-	s = NewStream(nil)
 	if err := s.Feed([]byte("GIF89a")); err == nil {
 		t.Fatal("garbage accepted")
 	}

@@ -2,13 +2,14 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -272,6 +273,97 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
+// TestLTRC1Rejected feeds every decoder a log in the legacy LTRC1 format,
+// which nothing reads any more: each must reject it with an error that
+// names the format.
+func TestLTRC1Rejected(t *testing.T) {
+	data := append([]byte(magicV1), 0, 2, '{', '}') // a metadata chunk alone
+	_, rerr := ReadAll(bytes.NewReader(data))
+	_, _, serr := Salvage(bytes.NewReader(data))
+	_, cerr := ChunkSpans(data)
+	ferr := NewStream(nil).Feed(data)
+	for name, err := range map[string]error{"ReadAll": rerr, "Salvage": serr, "ChunkSpans": cerr, "Stream.Feed": ferr} {
+		if err == nil || !strings.Contains(err.Error(), "LTRC1") {
+			t.Errorf("%s: error %v does not name LTRC1", name, err)
+		}
+	}
+}
+
+// TestReadAllFirstErrorInByteOrder writes two CRC-valid chunks that hold
+// an undecodable event, in different threads. Whichever comes first in
+// the input, and however many workers decode, ReadAll must return that
+// chunk's error; Salvage must keep both chunks' good prefix and mark
+// each thread degraded from there.
+func TestReadAllFirstErrorInByteOrder(t *testing.T) {
+	good := Event{Kind: KindWrite, Addr: 8, Mask: 1}
+	// A bad chunk carries one good event, then an event whose kind
+	// (thread 1) or op (thread 2) is out of range.
+	badEvent := map[int32][]byte{
+		1: {byte(numKinds), 0, 0, 0, 0, 0},
+		2: {byte(KindAcquire), byte(numSyncOps), 0, 0, 0, 0, 0},
+	}
+	wantErr := map[int32]string{1: "bad event kind", 2: "bad sync op"}
+	const bigger = 5000
+	for _, first := range []int32{1, 2} {
+		second := 3 - first
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The thread whose bad chunk comes second is far larger, so it
+		// is decoded first and a decoder reporting errors in the order
+		// its workers meet them would name the wrong chunk.
+		for i := 0; i < bigger; i++ {
+			if err := w.Thread(second).Append(good); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Thread(second).Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for _, tid := range []int32{first, second} {
+			tw := w.Thread(tid)
+			tw.seq++
+			payload := binary.AppendUvarint(nil, tw.seq)
+			payload = appendEvent(payload, good)
+			payload = append(payload, badEvent[tid]...)
+			if err := w.flushChunk(uint64(tid)+tagThreadBase, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(Meta{Module: "bad-events"}); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			_, err := ReadAll(bytes.NewReader(data))
+			log, rep, serr := Salvage(bytes.NewReader(data))
+			runtime.GOMAXPROCS(prev)
+			if err == nil || !strings.Contains(err.Error(), wantErr[first]) {
+				t.Errorf("GOMAXPROCS %d, thread %d's chunk first: ReadAll error %v, want %q",
+					procs, first, err, wantErr[first])
+			}
+			if serr != nil {
+				t.Fatal(serr)
+			}
+			checkRecon(t, rep)
+			for tid, n := range map[int32]int{first: 1, second: bigger + 1} {
+				if len(log.Threads[tid]) != n || log.Degraded[tid] != n {
+					t.Errorf("GOMAXPROCS %d: salvaged thread %d: %d events, degraded from %v; want %d and %d",
+						procs, tid, len(log.Threads[tid]), log.Degraded[tid], n, n)
+				}
+			}
+			if want := int64(len(badEvent[1]) + len(badEvent[2])); rep.BytesDropped != want {
+				t.Errorf("GOMAXPROCS %d: salvage dropped %d bytes, want the %d of the bad events",
+					procs, rep.BytesDropped, want)
+			}
+		}
+	}
+}
+
 // TestEventSize pins the in-memory event layout: decode and merge move
 // every event, so the field order keeps the byte-sized fields packed.
 func TestEventSize(t *testing.T) {
@@ -318,31 +410,6 @@ func TestReadAllReaders(t *testing.T) {
 	}
 	if _, err := ReadAll(iotest.ErrReader(errors.New("disk on fire"))); err == nil {
 		t.Error("ReadAll ignored a read error")
-	}
-}
-
-// TestReadAllV1 decodes a legacy LTRC1 log strictly.
-func TestReadAllV1(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	var a, b []Event
-	for i := 0; i < 40; i++ {
-		a = append(a, randomEvent(r, 1))
-		b = append(b, randomEvent(r, 2))
-	}
-	metaJSON, _ := json.Marshal(Meta{Module: "v1"})
-	data := encodeV1(t, metaJSON, map[int32][][]Event{1: {a[:25], a[25:]}, 2: {b}})
-	log, err := ReadAll(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if log.Meta.Module != "v1" || !reflect.DeepEqual(log.Threads[1], a) || !reflect.DeepEqual(log.Threads[2], b) {
-		t.Fatalf("LTRC1 decode mismatch: meta %+v, %d/%d events", log.Meta, len(log.Threads[1]), len(log.Threads[2]))
-	}
-	if len(log.ChunkOrder) != 3 {
-		t.Fatalf("chunk order %v, want 3 chunks", log.ChunkOrder)
-	}
-	if _, err := ReadAll(bytes.NewReader(data[:len(data)-1])); err == nil {
-		t.Error("truncated LTRC1 log accepted")
 	}
 }
 
