@@ -85,10 +85,6 @@ type ForensicConfig struct {
 	NearMissMargin int
 	// Scale is the workload scale echoed into the report header.
 	Scale int
-	// Engine selects the detection core for the evidence pass: EngineVC
-	// (also the empty string) or EngineEpoch. The forensic report is
-	// byte-identical either way; unknown names error.
-	Engine string
 }
 
 func (fc ForensicConfig) margin() int {
@@ -124,7 +120,6 @@ func (p *Program) Explain(cfg Config, fc ForensicConfig) (*forensics.Report, *Ru
 	hres, err := hb.Detect(decoded, hb.Options{
 		SamplerBit: hb.AllEvents, Obs: cfg.Obs,
 		Evidence: true, NearMissMargin: fc.margin(),
-		Engine: fc.Engine,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -157,7 +152,6 @@ func ExplainLog(log io.Reader, resolve func(int32) string, fc ForensicConfig, re
 	hres, deg, err := hb.DetectDegraded(decoded, hb.Options{
 		SamplerBit: hb.AllEvents, Obs: reg,
 		Evidence: true, NearMissMargin: fc.margin(),
-		Engine: fc.Engine,
 	})
 	if err != nil {
 		return nil, nil, err

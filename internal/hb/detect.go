@@ -9,29 +9,17 @@ import (
 	"literace/internal/trace"
 )
 
-// Engine names select the memory-access analysis core backing a
-// detection pass. Both engines share the sync-clock side (vector clocks,
-// happens-before edges, evidence capture) and report byte-identical race
-// sets; the vector-clock core is the differential oracle for the epoch
-// core.
-const (
-	// EngineVC is the vector-clock detector, the default.
-	EngineVC = "vc"
-	// EngineEpoch is the epoch fast-path core in internal/shadow:
-	// O(1) same-epoch/ordered decisions over a word-granular
-	// open-addressed shadow-memory table.
-	EngineEpoch = "epoch"
-)
-
-// ValidEngine reports whether name selects a known detection engine.
-// The empty string selects EngineVC.
-func ValidEngine(name string) bool {
-	return name == "" || name == EngineVC || name == EngineEpoch
-}
+// EngineEpoch names the epoch core in internal/shadow, the only
+// access-history engine.
+//
+// Deprecated: there is one engine, so there is nothing to select. The
+// name remains because external benchmark code still sets
+// Options.Engine to it.
+const EngineEpoch = "epoch"
 
 func checkEngine(name string) error {
-	if !ValidEngine(name) {
-		return fmt.Errorf("unknown detection engine %q (valid: %s, %s)", name, EngineVC, EngineEpoch)
+	if name != "" && name != EngineEpoch {
+		return fmt.Errorf("unknown detection engine %q (the only engine is %q)", name, EngineEpoch)
 	}
 	return nil
 }
@@ -131,22 +119,12 @@ type Options struct {
 	// hb.near_miss.* obs family). 0 (the default) disables.
 	NearMissMargin int
 
-	// Engine selects the memory-access analysis core: EngineVC (also
-	// the empty string) or EngineEpoch. Detect and DetectDegraded
-	// reject unknown names; NewDetector treats any non-epoch value as
-	// the vector-clock core.
+	// Engine may be empty or EngineEpoch; Detect and DetectDegraded
+	// reject any other value.
+	//
+	// Deprecated: the epoch core is the only engine. The field remains
+	// because external benchmark code still sets it.
 	Engine string
-
-	// ShadowMaxCells bounds the epoch engine's shadow-memory table
-	// (see shadow.Options.MaxCells); 0 means unbounded. Only the
-	// unbounded default preserves exact parity with the vector-clock
-	// oracle — a bounded table may miss races, never invent them.
-	ShadowMaxCells int
-
-	// ShadowDepot, when non-nil, is the stack depot the epoch engine
-	// interns race identities into; share one to deduplicate across
-	// detectors. Ignored by the vector-clock engine.
-	ShadowDepot *shadow.Depot
 }
 
 // AllEvents is the SamplerBit value that disables mask filtering.
@@ -170,9 +148,9 @@ type Result struct {
 	// when near-miss analytics were off.
 	NearMisses []NearMiss
 
-	// Epoch carries the epoch engine's core statistics when the pass
-	// ran under Options.Engine == EngineEpoch; nil under the
-	// vector-clock engine.
+	// Epoch carries the access-history engine's statistics: accesses
+	// analyzed, fast-path hits, read-share promotions, live shadow cells
+	// and interned race identities.
 	Epoch *shadow.Stats
 }
 
@@ -188,13 +166,11 @@ type Detector struct {
 	res      Result
 	degraded bool
 	threads  map[int32]*threadState
-	vars     map[uint64]VC         // SyncVar -> clock published by last release
-	mem      map[uint64]*addrState // address -> access history
-	lastRel  map[uint64]relInfo    // SyncVar -> last release, only when OnEdge is set
-	near     *NearAccum            // near-miss accumulator; nil when disabled
+	vars     map[uint64]VC      // SyncVar -> clock published by last release
+	lastRel  map[uint64]relInfo // SyncVar -> last release, only when OnEdge is set
+	near     *NearAccum         // near-miss accumulator; nil when disabled
 
-	// Epoch-engine state (Options.Engine == EngineEpoch): eng replaces
-	// the mem map as the access-history store, and tcache is a
+	// eng is the per-address access-history store, and tcache is a
 	// tid-indexed shortcut past the threads map on the access hot path.
 	eng    *shadow.Engine
 	tcache []*threadState
@@ -230,29 +206,12 @@ type relInfo struct {
 	ts      uint64
 }
 
-type readInfo struct {
-	epoch
-	pc  lir.PC
-	seq uint64          // per-thread analyzed-memory ordinal of the read
-	ev  *AccessEvidence // forensic snapshot; nil unless Options.Evidence
-}
-
-type addrState struct {
-	hasWrite bool
-	write    epoch
-	writePC  lir.PC
-	writeSeq uint64          // per-thread analyzed-memory ordinal of the write
-	writeEv  *AccessEvidence // forensic snapshot; nil unless Options.Evidence
-	reads    []readInfo      // reads since the last ordered write
-}
-
 // NewDetector returns a detector with the given options.
 func NewDetector(opts Options) *Detector {
 	d := &Detector{
 		opts:    opts,
 		threads: make(map[int32]*threadState),
 		vars:    make(map[uint64]VC),
-		mem:     make(map[uint64]*addrState),
 	}
 	if opts.OnEdge != nil {
 		d.lastRel = make(map[uint64]relInfo)
@@ -264,35 +223,18 @@ func NewDetector(opts Options) *Detector {
 		d.obsMem = opts.Obs.Counter("hb.mem_events")
 		d.obsSync = opts.Obs.Counter("hb.sync_events")
 	}
-	if opts.Engine == EngineEpoch {
-		so := shadow.Options{
-			MaxCells: opts.ShadowMaxCells,
-			Depot:    opts.ShadowDepot,
-			Obs:      opts.Obs,
-			OnRace: func(prev shadow.Prev, cur *shadow.Access, _ int) {
-				r := DynamicRace{
-					PrevPC: prev.PC, CurPC: cur.PC,
-					PrevWrite: prev.Write, CurWrite: cur.Write,
-					PrevTID: prev.TID, CurTID: cur.TID,
-					PrevSeq: prev.Seq, CurSeq: cur.Seq,
-					Addr: cur.Addr,
-				}
-				if prev.Ev != nil {
-					r.PrevEvidence = prev.Ev.(*AccessEvidence)
-				}
-				if cur.Ev != nil {
-					r.CurEvidence = cur.Ev.(*AccessEvidence)
-				}
-				d.report(r)
-			},
-		}
-		if opts.NearMissMargin > 0 {
-			so.OnOrdered = func(prevPC, curPC lir.PC, margin uint64) {
-				d.near.Note(prevPC, curPC, margin)
-			}
-		}
-		d.eng = shadow.NewEngine(so)
+	so := shadow.Options{
+		Obs: opts.Obs,
+		OnRace: func(prev shadow.Prev, cur *shadow.Access, _ int) {
+			d.report(RaceOf(prev, cur))
+		},
 	}
+	if opts.NearMissMargin > 0 {
+		so.OnOrdered = func(prevPC, curPC lir.PC, margin uint64) {
+			d.near.Note(prevPC, curPC, margin)
+		}
+	}
+	d.eng = shadow.NewEngine(so)
 	return d
 }
 
@@ -313,7 +255,7 @@ func (d *Detector) Process(e trace.Event) { d.process(&e) }
 // ProcessBatch consumes a pre-materialized event sequence in order. It
 // is equivalent to calling Process per element, minus one 40-byte
 // event copy per call — at tens of millions of events per second the
-// copies are a measurable tax on either engine.
+// copies are a measurable tax.
 func (d *Detector) ProcessBatch(events []trace.Event) {
 	for i := range events {
 		d.process(&events[i])
@@ -362,31 +304,25 @@ func (d *Detector) process(e *trace.Event) {
 		}
 		d.res.MemOps++
 		d.obsMem.Inc()
-		if d.eng != nil {
-			// Dispatch straight into the epoch core: no event copy
-			// through d.access, no intermediate frame. Plain runs hop
-			// Process -> engine in one register call. The thread-cache
-			// hit is open-coded: threadFast just misses the inlining
-			// budget, and a call here costs more than the lookup.
-			var t *threadState
-			if int(e.TID) < len(d.tcache) {
-				t = d.tcache[e.TID]
-			}
-			if t == nil {
-				t = d.threadSlow(e.TID)
-			}
-			t.memSeq++
-			switch {
-			case d.opts.Evidence:
-				d.accessEpochEv(t, e.Addr, e.TID, e.PC, e.Kind == trace.KindWrite)
-			case e.Kind == trace.KindWrite:
-				d.eng.Write(e.Addr, t.memSeq, e.TID, e.PC, t.vc)
-			default:
-				d.eng.Read(e.Addr, t.memSeq, e.TID, e.PC, t.vc)
-			}
-			return
+		// Dispatch straight into the engine: plain runs hop Process ->
+		// engine in one register call. The thread-cache hit is
+		// open-coded because a call here costs more than the lookup.
+		var t *threadState
+		if int(e.TID) < len(d.tcache) {
+			t = d.tcache[e.TID]
 		}
-		d.access(e)
+		if t == nil {
+			t = d.threadSlow(e.TID)
+		}
+		t.memSeq++
+		switch {
+		case d.opts.Evidence:
+			d.accessEv(t, e.Addr, e.TID, e.PC, e.Kind == trace.KindWrite)
+		case e.Kind == trace.KindWrite:
+			d.eng.Write(e.Addr, t.memSeq, e.TID, e.PC, t.vc)
+		default:
+			d.eng.Read(e.Addr, t.memSeq, e.TID, e.PC, t.vc)
+		}
 	}
 }
 
@@ -432,19 +368,8 @@ func (d *Detector) noteSync(t *threadState, e trace.Event) {
 	t.ev.OnSync(e)
 }
 
-// threadFast is d.thread with a tid-indexed cache in front of the map —
-// the epoch core's access hot path resolves the thread in O(1). The
-// cache-hit check is small enough to inline at the call site; misses
-// fall through to threadSlow.
-func (d *Detector) threadFast(tid int32) *threadState {
-	if int(tid) < len(d.tcache) {
-		if ts := d.tcache[tid]; ts != nil {
-			return ts
-		}
-	}
-	return d.threadSlow(tid)
-}
-
+// threadSlow resolves tid through the threads map and caches it in
+// tcache for the access hot path.
 func (d *Detector) threadSlow(tid int32) *threadState {
 	ts := d.thread(tid)
 	for int(tid) >= len(d.tcache) {
@@ -454,27 +379,11 @@ func (d *Detector) threadSlow(tid int32) *threadState {
 	return ts
 }
 
-// accessEpoch routes one sampled access through the epoch fast-path
-// core. The sync-clock and evidence side is exactly the vector-clock
-// path's; only the per-address history analysis differs. Scalar
-// arguments keep the hop into the engine in registers.
-func (d *Detector) accessEpoch(addr uint64, tid int32, pc lir.PC, isWrite bool) {
-	t := d.threadFast(tid)
-	t.memSeq++
-	if d.opts.Evidence {
-		d.accessEpochEv(t, addr, tid, pc, isWrite)
-		return
-	}
-	if isWrite {
-		d.eng.Write(addr, t.memSeq, tid, pc, t.vc)
-	} else {
-		d.eng.Read(addr, t.memSeq, tid, pc, t.vc)
-	}
-}
-
-// accessEpochEv is the evidence-mode tail of accessEpoch, kept out of
-// line so plain runs never pay for the snapshot plumbing.
-func (d *Detector) accessEpochEv(t *threadState, addr uint64, tid int32, pc lir.PC, isWrite bool) {
+// accessEv is the evidence-mode access: it snapshots the thread's clock
+// (clone-on-write, shared until the next sync event) and evidence state
+// and hands them to the engine. Kept out of line so plain runs never pay
+// for the snapshot plumbing.
+func (d *Detector) accessEv(t *threadState, addr uint64, tid int32, pc lir.PC, isWrite bool) {
 	if t.dirty || t.pub == nil {
 		t.pub = t.vc.Clone()
 		t.dirty = false
@@ -488,82 +397,6 @@ func (d *Detector) accessEpochEv(t *threadState, addr uint64, tid int32, pc lir.
 	} else {
 		d.eng.ReadEv(addr, t.memSeq, tid, pc, t.vc, evAny)
 	}
-}
-
-func (d *Detector) access(e *trace.Event) {
-	if d.eng != nil {
-		d.accessEpoch(e.Addr, e.TID, e.PC, e.Kind == trace.KindWrite)
-		return
-	}
-	t := d.thread(e.TID)
-	t.memSeq++
-	st := d.mem[e.Addr]
-	if st == nil {
-		st = &addrState{}
-		d.mem[e.Addr] = st
-	}
-	now := epoch{tid: e.TID, clk: t.vc.At(e.TID)}
-	isWrite := e.Kind == trace.KindWrite
-	var ev *AccessEvidence
-	if d.opts.Evidence {
-		if t.dirty || t.pub == nil {
-			t.pub = t.vc.Clone()
-			t.dirty = false
-		}
-		ev = t.ev.Snapshot(t.pub)
-	}
-
-	if st.hasWrite && st.write.tid != e.TID {
-		if !st.write.happensBefore(t.vc) {
-			d.report(DynamicRace{
-				PrevPC: st.writePC, CurPC: e.PC,
-				PrevWrite: true, CurWrite: isWrite,
-				PrevTID: st.write.tid, CurTID: e.TID,
-				PrevSeq: st.writeSeq, CurSeq: t.memSeq,
-				Addr:         e.Addr,
-				PrevEvidence: st.writeEv, CurEvidence: ev,
-			})
-		} else {
-			d.near.Note(st.writePC, e.PC, t.vc.At(st.write.tid)-st.write.clk)
-		}
-	}
-
-	if isWrite {
-		for _, r := range st.reads {
-			if r.tid == e.TID {
-				continue
-			}
-			if !r.happensBefore(t.vc) {
-				d.report(DynamicRace{
-					PrevPC: r.pc, CurPC: e.PC,
-					PrevWrite: false, CurWrite: true,
-					PrevTID: r.tid, CurTID: e.TID,
-					PrevSeq: r.seq, CurSeq: t.memSeq,
-					Addr:         e.Addr,
-					PrevEvidence: r.ev, CurEvidence: ev,
-				})
-			} else {
-				d.near.Note(r.pc, e.PC, t.vc.At(r.tid)-r.clk)
-			}
-		}
-		st.hasWrite = true
-		st.write = now
-		st.writePC = e.PC
-		st.writeSeq = t.memSeq
-		st.writeEv = ev
-		st.reads = st.reads[:0]
-		return
-	}
-
-	// Record the read, replacing any earlier read by the same thread
-	// (program order makes the newer one dominate).
-	for i := range st.reads {
-		if st.reads[i].tid == e.TID {
-			st.reads[i] = readInfo{epoch: now, pc: e.PC, seq: t.memSeq, ev: ev}
-			return
-		}
-	}
-	st.reads = append(st.reads, readInfo{epoch: now, pc: e.PC, seq: t.memSeq, ev: ev})
 }
 
 // MarkDegraded switches the detector into degraded mode: every race
@@ -592,28 +425,46 @@ func (d *Detector) report(r DynamicRace) {
 // Result returns the accumulated detection result.
 func (d *Detector) Result() *Result {
 	d.res.NearMisses = d.near.Rows()
-	if d.eng != nil {
-		s := d.eng.Stats()
-		d.res.Epoch = &s
-	}
+	d.eng.Flush()
+	s := d.eng.Stats()
+	d.res.Epoch = &s
 	return &d.res
 }
 
-// Shadow returns the epoch engine backing this detector, or nil under
-// the vector-clock engine.
-func (d *Detector) Shadow() *shadow.Engine { return d.eng }
-
-// publishEpochStats publishes the epoch engine's end-of-pass gauges
-// (shadow.cells, shadow.depot_stacks) into Options.Obs; the counters
-// (epoch.fastpath_hits, epoch.promotions, shadow.evictions) stream
-// live during the pass.
+// publishEpochStats publishes the engine's end-of-pass gauges
+// (shadow.cells, shadow.depot_stacks) into Options.Obs; Result flushes
+// the counters (epoch.fastpath_hits, epoch.promotions).
 func (d *Detector) publishEpochStats() {
-	if d.eng == nil || d.opts.Obs == nil {
+	PublishEpochStats(d.opts.Obs, d.eng.Stats())
+}
+
+// PublishEpochStats sets the shadow.cells and shadow.depot_stacks
+// gauges from s; a nil registry makes it a no-op.
+func PublishEpochStats(reg *obs.Registry, s shadow.Stats) {
+	if reg == nil {
 		return
 	}
-	s := d.eng.Stats()
-	d.opts.Obs.Gauge("shadow.cells").Set(float64(s.Cells))
-	d.opts.Obs.Gauge("shadow.depot_stacks").Set(float64(s.DepotStacks))
+	reg.Gauge("shadow.cells").Set(float64(s.Cells))
+	reg.Gauge("shadow.depot_stacks").Set(float64(s.DepotStacks))
+}
+
+// RaceOf converts an engine race report into a DynamicRace, unwrapping
+// the evidence payloads the detector attached to each side.
+func RaceOf(prev shadow.Prev, cur *shadow.Access) DynamicRace {
+	r := DynamicRace{
+		PrevPC: prev.PC, CurPC: cur.PC,
+		PrevWrite: prev.Write, CurWrite: cur.Write,
+		PrevTID: prev.TID, CurTID: cur.TID,
+		PrevSeq: prev.Seq, CurSeq: cur.Seq,
+		Addr: cur.Addr,
+	}
+	if prev.Ev != nil {
+		r.PrevEvidence = prev.Ev.(*AccessEvidence)
+	}
+	if cur.Ev != nil {
+		r.CurEvidence = cur.Ev.(*AccessEvidence)
+	}
+	return r
 }
 
 // PublishNearMisses publishes the accumulated near-miss telemetry into

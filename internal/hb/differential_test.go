@@ -167,3 +167,50 @@ func TestReferenceOnPaperExamples(t *testing.T) {
 		t.Errorf("reference reported %d races on unordered writes", res.NumRaces)
 	}
 }
+
+// FuzzDetectReference replays random seeded traces, optionally under a
+// sampler mask and with evidence and near-miss capture on, through the
+// detector and the reference detector: both must report the same static
+// race multiset and the same race, memory and sync counts.
+func FuzzDetectReference(f *testing.F) {
+	f.Add(int64(1), int8(-1), false)
+	f.Add(int64(42), int8(-1), true)
+	f.Add(int64(7), int8(0), true)
+	f.Add(int64(1234567), int8(1), false)
+	f.Fuzz(func(t *testing.T, seed int64, bit int8, evidence bool) {
+		log := randomLog(seed)
+		sb := AllEvents
+		if bit >= 0 {
+			sb = int(bit % 2)
+			r := rand.New(rand.NewSource(seed ^ 0x5aa5))
+			for _, evs := range log.Threads {
+				for i := range evs {
+					if evs[i].Kind.IsMem() {
+						evs[i].Mask = uint32(r.Intn(4))
+					}
+				}
+			}
+		}
+		got, err := Detect(log, Options{SamplerBit: sb, Evidence: evidence, NearMissMargin: DefaultNearMissMargin})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := DetectReference(log, Options{SamplerBit: sb})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.NumRaces != want.NumRaces || got.MemOps != want.MemOps || got.SyncOps != want.SyncOps {
+			t.Fatalf("seed %d bit %d: counters diverge: detector {races %d mem %d sync %d} reference {races %d mem %d sync %d}",
+				seed, sb, got.NumRaces, got.MemOps, got.SyncOps, want.NumRaces, want.MemOps, want.SyncOps)
+		}
+		gs, ws := staticSet(got.Races), staticSet(want.Races)
+		if len(gs) != len(ws) {
+			t.Fatalf("seed %d bit %d: %d static races, reference %d", seed, sb, len(gs), len(ws))
+		}
+		for k, n := range gs {
+			if ws[k] != n {
+				t.Fatalf("seed %d bit %d: race %+v seen %d times, reference %d", seed, sb, k, n, ws[k])
+			}
+		}
+	})
+}

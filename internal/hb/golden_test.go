@@ -45,6 +45,9 @@ func TestDetectGoldenDigests(t *testing.T) {
 						t.Fatalf("seed %d: %v", seed, err)
 					}
 				}
+				if res.Epoch == nil || res.Epoch.Accesses != res.MemOps {
+					t.Fatalf("seed %d: engine stats %+v do not account for %d accesses", seed, res.Epoch, res.MemOps)
+				}
 				fmt.Fprintf(h, "seed %d\n", seed)
 				hashResult(h, res)
 			}

@@ -402,10 +402,4 @@ func TestVCBasics(t *testing.T) {
 	if v.At(3) != 8 {
 		t.Error("Clone shares storage")
 	}
-	if (epoch{tid: 3, clk: 8}).happensBefore(v) != true {
-		t.Error("epoch.happensBefore broken")
-	}
-	if (epoch{tid: 3, clk: 9}).happensBefore(v) != false {
-		t.Error("epoch.happensBefore accepted future clock")
-	}
 }

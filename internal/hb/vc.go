@@ -1,7 +1,9 @@
 // Package hb implements the offline happens-before data-race detector of
-// §2.1 and §4.4: a vector-clock algorithm over the event log, preceded by
-// a replayer that reconstructs a legal cross-thread order from the
-// per-SyncVar logical timestamps (the 128 hashed counters of §4.2).
+// §2.1 and §4.4: vector clocks for the synchronization events and the
+// epoch core of internal/shadow for the per-address access history,
+// preceded by a replayer that reconstructs a legal cross-thread order
+// from the per-SyncVar logical timestamps (the 128 hashed counters of
+// §4.2).
 package hb
 
 // VC is a vector clock: VC[t] is the latest known clock of thread t.
@@ -63,14 +65,3 @@ func (v VC) LEq(u VC) bool {
 	}
 	return true
 }
-
-// epoch is a scalar clock sample (tid, clock): the FastTrack-style compact
-// representation of one access.
-type epoch struct {
-	tid int32
-	clk uint64
-}
-
-// happensBefore reports whether the access at e happens-before a thread
-// whose current vector clock is now.
-func (e epoch) happensBefore(now VC) bool { return e.clk <= now.At(e.tid) }

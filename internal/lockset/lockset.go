@@ -95,7 +95,7 @@ func (s lockSet) intersect(t lockSet) bool {
 	return changed
 }
 
-type addrState struct {
+type varState struct {
 	state    State
 	owner    int32
 	locks    lockSet // candidate lockset C(v); nil means "all locks"
@@ -107,7 +107,7 @@ type Detector struct {
 	opts Options
 	res  Result
 	held map[int32]lockSet
-	mem  map[uint64]*addrState
+	mem  map[uint64]*varState
 }
 
 // NewDetector returns a detector with the given options.
@@ -115,7 +115,7 @@ func NewDetector(opts Options) *Detector {
 	return &Detector{
 		opts: opts,
 		held: make(map[int32]lockSet),
-		mem:  make(map[uint64]*addrState),
+		mem:  make(map[uint64]*varState),
 	}
 }
 
@@ -151,7 +151,7 @@ func (d *Detector) Process(e trace.Event) {
 func (d *Detector) access(e trace.Event) {
 	st := d.mem[e.Addr]
 	if st == nil {
-		st = &addrState{state: Virgin}
+		st = &varState{state: Virgin}
 		d.mem[e.Addr] = st
 	}
 	isWrite := e.Kind == trace.KindWrite

@@ -27,8 +27,13 @@ type Engine struct {
 	keepEv bool
 	evIn   any
 
-	cFast *obs.Counter // epoch.fastpath_hits; nil-safe
-	cProm *obs.Counter // epoch.promotions; nil-safe
+	// cFast and cProm mirror fast and prom into Options.Obs. Flush adds
+	// what accrued since the last flush (flushedFast, flushedProm), so
+	// the shared counters take one atomic add per flush, not per access.
+	cFast       *obs.Counter // epoch.fastpath_hits; nil-safe
+	cProm       *obs.Counter // epoch.promotions; nil-safe
+	flushedFast uint64
+	flushedProm uint64
 
 	// Pairs already interned by this engine: dynamic races repeat a
 	// handful of static pairs thousands of times, so a local set
@@ -127,14 +132,22 @@ func NewEngine(opts Options) *Engine {
 	if e.depot == nil {
 		e.depot = NewDepot()
 	}
-	var cEvict *obs.Counter
 	if opts.Obs != nil {
 		e.cFast = opts.Obs.Counter("epoch.fastpath_hits")
 		e.cProm = opts.Obs.Counter("epoch.promotions")
-		cEvict = opts.Obs.Counter("shadow.evictions")
 	}
-	e.tab = newTable(opts.MaxCells, cEvict)
+	e.tab = newTable()
 	return e
+}
+
+// Flush adds the fast-path hits and promotions counted since the last
+// flush to the epoch.fastpath_hits and epoch.promotions counters. The
+// batch detector flushes at the end of a pass, a streaming shard after
+// each batch.
+func (e *Engine) Flush() {
+	e.cFast.Add(e.fast - e.flushedFast)
+	e.cProm.Add(e.prom - e.flushedProm)
+	e.flushedFast, e.flushedProm = e.fast, e.prom
 }
 
 // Depot returns the stack depot race identities are interned into.
@@ -146,16 +159,14 @@ func (e *Engine) Stats() Stats {
 		Accesses:     e.accesses,
 		FastpathHits: e.fast,
 		Promotions:   e.prom,
-		Evictions:    e.tab.evictions,
 		Cells:        e.tab.live,
 		DepotStacks:  e.depot.Len(),
 	}
 }
 
 // Access analyzes one sampled memory access; it is the struct-shaped
-// convenience form of Write/Read. Race reports come out in the exact
-// order the vector-clock oracle produces them: the stored write is
-// checked first (for reads and writes alike), then — on a write — every
+// convenience form of Write/Read. Race reports come out in a fixed
+// order: the stored write is checked first (for reads and writes alike), then — on a write — every
 // recorded read in first-read order; the cell state is updated
 // afterwards regardless of the outcome.
 func (e *Engine) Access(a *Access) {
@@ -217,7 +228,6 @@ func (e *Engine) Write(addr, seq uint64, tid int32, pc lir.PC, vc []uint64) {
 			e.setWEv(addr, e.evIn)
 		}
 		e.fast++
-		e.cFast.Inc()
 		return
 	}
 	e.writeSlow(i, addr, seq, tid, pc, vc)
@@ -244,7 +254,6 @@ func (e *Engine) Read(addr, seq uint64, tid int32, pc lir.PC, vc []uint64) {
 				e.setREv(addr, e.evIn)
 			}
 			e.fast++
-			e.cFast.Inc()
 			return
 		}
 		if d.r.tid == tid {
@@ -253,7 +262,6 @@ func (e *Engine) Read(addr, seq uint64, tid int32, pc lir.PC, vc []uint64) {
 				e.setREv(addr, e.evIn)
 			}
 			e.fast++
-			e.cFast.Inc()
 			return
 		}
 	}
@@ -319,11 +327,9 @@ func (e *Engine) writeSlow(i int, addr, seq uint64, tid int32, pc lir.PC, vc []u
 	}
 	if fast {
 		e.fast++
-		e.cFast.Inc()
 	}
 
-	// The write supersedes all recorded reads (the vector-clock oracle
-	// clears its read list here even after races).
+	// The write supersedes all recorded reads, even after races.
 	d.w = rec{clk: clk, seq: seq, pc: pc, tid: tid}
 	d.r = rec{}
 	if f&cellMulti != 0 {
@@ -393,7 +399,6 @@ func (e *Engine) readSlow(i int, addr, seq uint64, tid int32, pc lir.PC, vc []ui
 			d.r = rec{}
 			t.flags[i] = f&^cellRead | cellMulti
 			e.prom++
-			e.cProm.Inc()
 		}
 	default:
 		rs := t.rs(addr)
@@ -402,7 +407,6 @@ func (e *Engine) readSlow(i int, addr, seq uint64, tid int32, pc lir.PC, vc []ui
 				rs[k] = mrec{rec: now, ev: e.evIn}
 				if fast {
 					e.fast++
-					e.cFast.Inc()
 				}
 				return
 			}
@@ -412,7 +416,6 @@ func (e *Engine) readSlow(i int, addr, seq uint64, tid int32, pc lir.PC, vc []ui
 	}
 	if fast {
 		e.fast++
-		e.cFast.Inc()
 	}
 }
 

@@ -136,23 +136,6 @@ func TestEngineOrderedCallback(t *testing.T) {
 	}
 }
 
-func TestEngineEvictionForgetsHistory(t *testing.T) {
-	// Bounded to one cell: the second address evicts the first, so a
-	// racy revisit of the first address goes unnoticed (false negative,
-	// never a false positive).
-	e, races := collectRaces(Options{MaxCells: 1})
-	e.Access(acc(0x8, 0, true, 1, []uint64{1}))
-	e.Access(acc(0x10, 0, true, 2, []uint64{1}))
-	e.Access(acc(0x8, 1, true, 1, []uint64{0, 1})) // unordered, but history evicted
-	if len(*races) != 0 {
-		t.Fatalf("evicted history still raced: %+v", *races)
-	}
-	s := e.Stats()
-	if s.Evictions != 2 || s.Cells != 1 {
-		t.Fatalf("stats = %+v, want 2 evictions and 1 live cell", s)
-	}
-}
-
 func TestEngineDepotInternsRaceIdentities(t *testing.T) {
 	e, _ := collectRaces(Options{})
 	for i := 0; i < 3; i++ {

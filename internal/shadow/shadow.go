@@ -13,13 +13,13 @@
 // sampled memory access to Engine.Access together with an immutable
 // view of the accessing thread's vector clock; the engine answers with
 // race callbacks that carry exactly the attribution the caller stored.
-// Both engines therefore report byte-identical race sets — the
-// vector-clock detector remains the differential oracle for this one.
+// The batch detector and every streaming shard therefore report
+// byte-identical race sets; hb.ReferenceDetector, which keeps full
+// vector clocks per access, is the differential oracle for this core.
 //
 // Backing storage is a word-granular open-addressed shadow-memory
-// table (Table): one inline cell per exact address, no per-address heap
-// allocation, optionally bounded with deterministic eviction
-// accounting. Racing access sites are interned into a stack depot
+// table: one inline cell per exact address, no per-address heap
+// allocation. Racing access sites are interned into a stack depot
 // (Depot) that deduplicates race identities into stable 16-hex IDs.
 package shadow
 
@@ -56,24 +56,18 @@ type Prev struct {
 
 // Options configures an Engine.
 type Options struct {
-	// MaxCells bounds the live cells in the shadow table; 0 means
-	// unbounded. A bounded table evicts deterministically (round-robin
-	// sweep) and counts every eviction; losing history can only hide
-	// races (false negatives, like sampling itself), never invent them.
-	MaxCells int
-
 	// Depot, when non-nil, is the stack depot racing access pairs are
 	// interned into; share one across shards to deduplicate identities
 	// globally. A nil Depot gives the engine a private one.
 	Depot *Depot
 
-	// Obs, when non-nil, receives the engine counters epoch.fastpath_hits,
-	// epoch.promotions and shadow.evictions as the pass runs.
+	// Obs, when non-nil, receives the engine counters epoch.fastpath_hits
+	// and epoch.promotions at each Engine.Flush.
 	Obs *obs.Registry
 
-	// OnRace is invoked for every conflicting unordered pair, in the
-	// exact order the vector-clock oracle reports them: the write check
-	// first, then recorded reads in first-read order. sub is the 0-based
+	// OnRace is invoked for every conflicting unordered pair, in a fixed
+	// order: the write check first, then recorded reads in first-read
+	// order. sub is the 0-based
 	// index of the race among those the current access produced. cur is
 	// only valid for the duration of the call; copy what you keep.
 	OnRace func(prev Prev, cur *Access, sub int)
@@ -94,8 +88,6 @@ type Stats struct {
 	FastpathHits uint64
 	// Promotions counts single-reader -> read-share transitions.
 	Promotions uint64
-	// Evictions counts cells evicted from a bounded shadow table.
-	Evictions uint64
 	// Cells is the number of live shadow cells at snapshot time.
 	Cells int
 	// DepotStacks is the number of distinct race identities interned.

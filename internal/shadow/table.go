@@ -4,7 +4,6 @@ import (
 	"unsafe"
 
 	"literace/internal/lir"
-	"literace/internal/obs"
 )
 
 // rec is one stored access epoch plus the scalar attribution a race
@@ -64,10 +63,8 @@ var (
 // dense (8 addresses / 64 state bytes per cache line, so probing stays
 // cheap), and the 64-byte epoch payloads sit in a parallel data array —
 // no per-address heap allocation, no pointer chase on the hot path.
-// A bounded table (max > 0) never grows past its budget: inserting a
-// new address at the bound deterministically evicts the next live cell
-// under a round-robin sweep hand, using backward-shift deletion so
-// probe chains stay intact.
+// Cells are never removed: a detection pass keeps every address's
+// history until it ends.
 type table struct {
 	keys  []uint64
 	flags []uint8
@@ -76,36 +73,22 @@ type table struct {
 	// multi holds promoted read-share lists, one epoch per thread that
 	// read since the last write, in first-read order. evs holds
 	// out-of-line evidence for the inline epochs. Both are keyed by
-	// address, so backward-shift relocations never touch them.
+	// address, so growth never touches them.
 	multi map[uint64][]mrec
 	evs   map[uint64]*evPair
 
-	mask      uint64
-	live      int
-	max       int // live-cell bound; 0 = unbounded
-	hand      uint64
-	evictions uint64
-	cEvict    *obs.Counter // shadow.evictions; nil-safe
+	mask uint64
+	live int
 }
 
 const minTableCap = 64
 
-func newTable(max int, cEvict *obs.Counter) table {
-	capacity := uint64(minTableCap)
-	if max > 0 {
-		// Size so the bound fits at <= 3/4 load; a bounded table never
-		// rehashes.
-		for capacity < uint64(max)*4/3+1 {
-			capacity <<= 1
-		}
-	}
+func newTable() table {
 	return table{
-		keys:   make([]uint64, capacity),
-		flags:  make([]uint8, capacity),
-		data:   make([]cellData, capacity),
-		mask:   capacity - 1,
-		max:    max,
-		cEvict: cEvict,
+		keys:  make([]uint64, minTableCap),
+		flags: make([]uint8, minTableCap),
+		data:  make([]cellData, minTableCap),
+		mask:  minTableCap - 1,
 	}
 }
 
@@ -130,27 +113,23 @@ func (t *table) find(addr uint64) int {
 }
 
 // cell returns the slot of the shadow cell for addr, claiming a fresh
-// one (or evicting, at the bound) when the address is new.
+// one when the address is new.
 func (t *table) cell(addr uint64) int {
 	idx := t.slot(addr)
 	for {
 		if t.flags[idx] == 0 {
-			// Grow at quarter load: displacement is what knocks accesses
-			// off find()'s home-slot fast path, and keys are only 8
-			// bytes, so trading memory for near-certain home hits wins.
-			if t.max == 0 && t.live+1 > len(t.keys)/4 {
+			// Grow at half load. Displacement is what knocks accesses
+			// off find()'s home-slot fast path, but a slot costs 73
+			// bytes (key, flags and the 64-byte cell), and growing at
+			// quarter load doubled the table's allocations without
+			// making detection faster.
+			if t.live+1 > len(t.keys)/2 {
 				t.grow()
 				return t.cell(addr)
 			}
 			t.keys[idx] = addr
 			t.flags[idx] = cellUsed
 			t.live++
-			if t.max > 0 && t.live > t.max {
-				// Eviction compaction may relocate the cell just
-				// claimed; re-probe for it instead of trusting idx.
-				t.evict(idx)
-				return t.cell(addr)
-			}
 			return int(idx)
 		}
 		if t.keys[idx] == addr {
@@ -158,64 +137,6 @@ func (t *table) cell(addr uint64) int {
 		}
 		idx = (idx + 1) & t.mask
 	}
-}
-
-// evict removes one live cell other than the one at keep: the sweep
-// hand advances to the next occupied slot and that victim is deleted
-// with backward-shift compaction, which may relocate later cells of the
-// same probe chain (including keep's) into the hole.
-func (t *table) evict(keep uint64) {
-	idx := t.hand & t.mask
-	for {
-		if t.flags[idx] != 0 && idx != keep {
-			break
-		}
-		idx = (idx + 1) & t.mask
-	}
-	t.hand = idx + 1
-	t.remove(idx)
-	t.evictions++
-	t.cEvict.Inc()
-}
-
-// remove deletes the cell at slot i using backward-shift deletion:
-// every following cell of the probe chain that could have claimed the
-// hole moves into it, so linear probing keeps finding every survivor.
-// The evicted address's side state (read-share list, evidence) is
-// dropped with it; relocated survivors keep their addresses, so their
-// side state needs no fixup.
-func (t *table) remove(i uint64) {
-	if t.multi != nil {
-		delete(t.multi, t.keys[i])
-	}
-	if t.evs != nil {
-		delete(t.evs, t.keys[i])
-	}
-	t.clear(i)
-	j := i
-	for {
-		j = (j + 1) & t.mask
-		if t.flags[j] == 0 {
-			break
-		}
-		// The cell at j (home slot h) may fill the hole at i iff probing
-		// from h reaches i no later than j.
-		h := t.slot(t.keys[j])
-		if (j-h)&t.mask >= (j-i)&t.mask {
-			t.keys[i] = t.keys[j]
-			t.flags[i] = t.flags[j]
-			t.data[i] = t.data[j]
-			t.clear(j)
-			i = j
-		}
-	}
-	t.live--
-}
-
-func (t *table) clear(i uint64) {
-	t.keys[i] = 0
-	t.flags[i] = 0
-	t.data[i] = cellData{}
 }
 
 func (t *table) grow() {

@@ -6,7 +6,7 @@ import (
 
 // auditTable checks structural invariants: live matches the used slots,
 // no address appears twice, and every used slot is reachable by probing
-// from its home slot (backward-shift deletion must never strand one).
+// from its home slot (growth must never strand one).
 func auditTable(t *testing.T, tab *table) {
 	t.Helper()
 	used := 0
@@ -51,7 +51,7 @@ func auditTable(t *testing.T, tab *table) {
 }
 
 func TestTableInsertLookupGrow(t *testing.T) {
-	tab := newTable(0, nil)
+	tab := newTable()
 	const n = 10_000
 	for i := uint64(1); i <= n; i++ {
 		idx := tab.cell(i * 8)
@@ -63,9 +63,6 @@ func TestTableInsertLookupGrow(t *testing.T) {
 	}
 	if tab.live != n {
 		t.Fatalf("live = %d, want %d", tab.live, n)
-	}
-	if tab.evictions != 0 {
-		t.Fatalf("unbounded table evicted %d cells", tab.evictions)
 	}
 	for i := uint64(1); i <= n; i++ {
 		idx := tab.cell(i * 8)
@@ -81,7 +78,7 @@ func TestTableInsertLookupGrow(t *testing.T) {
 }
 
 func TestTableFindHomeSlot(t *testing.T) {
-	tab := newTable(0, nil)
+	tab := newTable()
 	if got := tab.find(0x1234); got != -1 {
 		t.Fatalf("find on an empty table returned slot %d", got)
 	}
@@ -99,111 +96,5 @@ func TestTableFindHomeSlot(t *testing.T) {
 		if got := tab.find(addr); got >= 0 && tab.keys[got] != addr {
 			t.Fatalf("find(%#x) returned slot %d holding %#x", addr, got, tab.keys[got])
 		}
-	}
-}
-
-func TestTableEvictionAccounting(t *testing.T) {
-	tab := newTable(4, nil)
-	for i := uint64(1); i <= 10; i++ {
-		tab.cell(i << 4)
-	}
-	if tab.live != 4 {
-		t.Fatalf("live = %d at bound 4", tab.live)
-	}
-	if tab.evictions != 6 {
-		t.Fatalf("evictions = %d, want 6 (10 inserts into a 4-cell table)", tab.evictions)
-	}
-	auditTable(t, &tab)
-	// Re-touching a survivor must not evict.
-	before := tab.evictions
-	for i := range tab.flags {
-		if tab.flags[i] != 0 {
-			tab.cell(tab.keys[i])
-		}
-	}
-	if tab.evictions != before {
-		t.Fatalf("lookups of live addresses evicted: %d -> %d", before, tab.evictions)
-	}
-	if tab.live != 4 {
-		t.Fatalf("live = %d after re-lookups", tab.live)
-	}
-}
-
-func TestTableEvictionNeverEvictsNewcomer(t *testing.T) {
-	// Each insert at the bound must keep the address just inserted: the
-	// sweep skips the claimed slot (and follows it if compaction moved
-	// it).
-	tab := newTable(2, nil)
-	for i := uint64(1); i <= 64; i++ {
-		addr := i * 104729 // spread across slots
-		tab.cell(addr)
-		found := false
-		for j := range tab.flags {
-			if tab.flags[j] != 0 && tab.keys[j] == addr {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("insert %d: newcomer %#x was evicted immediately", i, addr)
-		}
-		auditTable(t, &tab)
-	}
-	if tab.evictions != 62 {
-		t.Fatalf("evictions = %d, want 62", tab.evictions)
-	}
-}
-
-func TestTableEvictionDeterministic(t *testing.T) {
-	run := func() (uint64, []uint64) {
-		tab := newTable(8, nil)
-		for i := uint64(1); i <= 100; i++ {
-			tab.cell(i * 31)
-		}
-		var survivors []uint64
-		for i := range tab.flags {
-			if tab.flags[i] != 0 {
-				survivors = append(survivors, tab.keys[i])
-			}
-		}
-		return tab.evictions, survivors
-	}
-	ev1, s1 := run()
-	ev2, s2 := run()
-	if ev1 != ev2 {
-		t.Fatalf("eviction counts differ across identical runs: %d vs %d", ev1, ev2)
-	}
-	if len(s1) != len(s2) {
-		t.Fatalf("survivor counts differ: %d vs %d", len(s1), len(s2))
-	}
-	for i := range s1 {
-		if s1[i] != s2[i] {
-			t.Fatalf("survivor %d differs: %#x vs %#x", i, s1[i], s2[i])
-		}
-	}
-}
-
-func TestTableEvictionResetsState(t *testing.T) {
-	tab := newTable(1, nil)
-	idx := tab.cell(0x10)
-	tab.flags[idx] |= cellWrite | cellMulti
-	tab.data[idx].w.seq = 99
-	tab.setRS(0x10, []mrec{{rec: rec{tid: 1}}})
-	tab.ev(0x10, true).w = "stale"
-	// Inserting a second address evicts the first; coming back to the
-	// first must yield a virgin cell with no side state.
-	tab.cell(0x20)
-	idx = tab.cell(0x10)
-	if tab.flags[idx] != cellUsed || tab.data[idx].w.seq != 0 {
-		t.Fatalf("re-inserted cell kept stale state: flags=%#x seq=%d",
-			tab.flags[idx], tab.data[idx].w.seq)
-	}
-	if tab.rs(0x10) != nil {
-		t.Fatalf("re-inserted cell kept stale read-share list: %v", tab.rs(0x10))
-	}
-	if p := tab.ev(0x10, false); p != nil && (p.w != nil || p.r != nil) {
-		t.Fatalf("re-inserted cell kept stale evidence: %+v", p)
-	}
-	if tab.evictions != 2 {
-		t.Fatalf("evictions = %d, want 2", tab.evictions)
 	}
 }

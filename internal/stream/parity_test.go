@@ -2,6 +2,7 @@ package stream_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -74,7 +75,13 @@ func mustBench(t testing.TB, key string) workloads.Benchmark {
 // given sizes (cycled; {0} means all at once).
 func runPipeline(t testing.TB, data []byte, shards int, sizes []int) *stream.Result {
 	t.Helper()
-	p := stream.New(stream.Options{Shards: shards, SamplerBit: hb.AllEvents})
+	return feedPipeline(t, stream.New(stream.Options{Shards: shards, SamplerBit: hb.AllEvents}), data, sizes)
+}
+
+// feedPipeline feeds data through p in pieces of the given sizes
+// (cycled; {0} means all at once) and finishes it.
+func feedPipeline(t testing.TB, p *stream.Pipeline, data []byte, sizes []int) *stream.Result {
+	t.Helper()
 	for off, i := 0, 0; off < len(data); i++ {
 		n := sizes[i%len(sizes)]
 		if n <= 0 || n > len(data)-off {
@@ -249,5 +256,83 @@ func TestStreamRejectsGarbage(t *testing.T) {
 	}
 	if err := p.Feed([]byte("x")); err == nil {
 		t.Fatal("feed after finish succeeded")
+	}
+}
+
+// TestStreamEvidenceParity checks evidence capture end to end: a sharded
+// pipeline fed whole or in small pieces must report the exact race list
+// (order, attribution, evidence) a batch evidence pass reports on the
+// same bytes, and its shard engines must account for every access.
+func TestStreamEvidenceParity(t *testing.T) {
+	for _, key := range []string{"dryad-stdlib", "concrt-msg", "apache-1", "lkrhash"} {
+		for _, seed := range []int64{1, 7} {
+			data := genLog(t, mustBench(t, key), seed, 1)
+			log, err := trace.ReadAll(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := hb.Detect(log, hb.Options{SamplerBit: hb.AllEvents, Evidence: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, shards := range []int{1, 3} {
+				for _, piece := range []int{0, 977} {
+					p := stream.New(stream.Options{Shards: shards, SamplerBit: hb.AllEvents, Evidence: true})
+					got := feedPipeline(t, p, data, []int{piece})
+					checkParity(t, fmt.Sprintf("%s seed %d shards %d piece %d", key, seed, shards, piece), got, want)
+					if got.Epoch == nil || got.Epoch.Accesses != got.MemOps {
+						t.Fatalf("%s seed %d: shard engines report %+v for %d dispatched accesses",
+							key, seed, got.Epoch, got.MemOps)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStreamEpochNearMissParity checks the per-shard near-miss rows
+// merge to the table a batch pass produces.
+func TestStreamEpochNearMissParity(t *testing.T) {
+	data := genLog(t, mustBench(t, "concrt-sched"), 3, 1)
+	log, err := trace.ReadAll(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hb.Detect(log, hb.Options{SamplerBit: hb.AllEvents, NearMissMargin: hb.DefaultNearMissMargin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := stream.New(stream.Options{
+		Shards:         3,
+		SamplerBit:     hb.AllEvents,
+		NearMissMargin: hb.DefaultNearMissMargin,
+	})
+	got := feedPipeline(t, p, data, []int{0})
+	if !reflect.DeepEqual(got.NearMisses, want.NearMisses) {
+		t.Fatalf("near-miss rows diverge:\n  stream: %+v\n  batch:  %+v", got.NearMisses, want.NearMisses)
+	}
+	checkParity(t, "near-miss", got, want)
+}
+
+// TestStreamEpochSharedDepot checks the shards deduplicate race
+// identities through one shared depot: the interned stack count equals
+// the static race count of the whole pass, not a per-shard sum.
+func TestStreamEpochSharedDepot(t *testing.T) {
+	data := genLog(t, mustBench(t, "dryad-stdlib"), 1, 1)
+	res := runPipeline(t, data, 4, []int{0})
+	if res.NumRaces == 0 {
+		t.Skip("benchmark produced no races at this seed")
+	}
+	statics := make(map[[4]int32]bool)
+	for _, r := range res.Races {
+		a, b := r.PrevPC, r.CurPC
+		if b.Less(a) {
+			a, b = b, a
+		}
+		statics[[4]int32{a.Func, a.Index, b.Func, b.Index}] = true
+	}
+	if res.Epoch.DepotStacks != len(statics) {
+		t.Fatalf("depot holds %d identities, want %d (distinct static pairs)",
+			res.Epoch.DepotStacks, len(statics))
 	}
 }

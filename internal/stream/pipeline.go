@@ -14,8 +14,8 @@
 // this pipeline feed the same chunk sequence (the log's byte order)
 // through the same hb.Merger, the clock engine is the synchronization
 // half of hb.Detector verbatim, and each address's accesses reach
-// exactly one shard in replay order, so every happens-before judgment
-// compares the same clocks. A global dispatch ordinal restores the
+// exactly one shard in replay order, where the same shadow.Engine that
+// backs hb.Detector judges them against the same clocks. A global dispatch ordinal restores the
 // replay-order race list when the shards' findings merge.
 package stream
 
@@ -74,17 +74,6 @@ type Options struct {
 	// hb.Options.NearMissMargin does; the per-shard accumulators merge at
 	// Finish into the same rows a batch pass produces.
 	NearMissMargin int
-	// Engine selects the per-shard memory-access analysis core:
-	// hb.EngineVC (also the empty string, the default) or
-	// hb.EngineEpoch, which routes every shard's accesses through an
-	// epoch fast-path engine (internal/shadow) sharing one stack depot.
-	// Race sets stay byte-identical either way. Callers validate the
-	// name (hb.ValidEngine); New treats unknown values as the default.
-	Engine string
-	// ShadowMaxCells bounds each shard's shadow-memory table under the
-	// epoch engine; 0 (unbounded) preserves exact parity with the
-	// vector-clock core.
-	ShadowMaxCells int
 }
 
 // DefaultShards is the shard count when Options.Shards is 0.
@@ -145,8 +134,7 @@ type Pipeline struct {
 	shards []*shard
 	done   chan struct{}
 
-	// depot is the stack depot the shard epoch engines share; nil under
-	// the vector-clock engine.
+	// depot is the stack depot the shard engines share.
 	depot *shadow.Depot
 
 	dec *trace.Stream
@@ -269,24 +257,19 @@ func New(opts Options) *Pipeline {
 			p.opts.OnRace(r)
 		}
 	}
-	if opts.Engine == hb.EngineEpoch {
-		p.depot = shadow.NewDepot()
-	}
+	p.depot = shadow.NewDepot()
 	for i := 0; i < opts.Shards; i++ {
 		s := &shard{
 			idx:        i,
 			ch:         make(chan []memAccess, shardChanDepth),
 			free:       p.free,
-			mem:        make(map[uint64]*addrHist),
 			degradeOrd: &p.degradeOrd,
 			onRace:     onRace,
 			near:       hb.NewNearAccum(opts.NearMissMargin),
 			evCnt:      opts.Obs.Counter(fmt.Sprintf("%s%d", ShardEventsCounterPrefix, i)),
 			rec:        opts.Diag,
 		}
-		if p.depot != nil {
-			s.attachEpoch(p.depot, opts)
-		}
+		s.attachEngine(p.depot, opts)
 		p.shards = append(p.shards, s)
 		go s.run(p.done)
 	}
@@ -701,22 +684,16 @@ func (p *Pipeline) Finish() (*Result, error) {
 			reg.Gauge(fmt.Sprintf("%s%d", ShardUtilGaugePrefix, i)).Set(float64(n) / float64(total))
 		}
 	}
-	if p.depot != nil {
-		agg := shadow.Stats{DepotStacks: p.depot.Len()}
-		for _, s := range p.shards {
-			st := s.eng.Stats()
-			agg.Accesses += st.Accesses
-			agg.FastpathHits += st.FastpathHits
-			agg.Promotions += st.Promotions
-			agg.Evictions += st.Evictions
-			agg.Cells += st.Cells
-		}
-		res.Epoch = &agg
-		if reg := p.opts.Obs; reg != nil {
-			reg.Gauge("shadow.cells").Set(float64(agg.Cells))
-			reg.Gauge("shadow.depot_stacks").Set(float64(agg.DepotStacks))
-		}
+	agg := shadow.Stats{DepotStacks: p.depot.Len()}
+	for _, s := range p.shards {
+		st := s.eng.Stats()
+		agg.Accesses += st.Accesses
+		agg.FastpathHits += st.FastpathHits
+		agg.Promotions += st.Promotions
+		agg.Cells += st.Cells
 	}
+	res.Epoch = &agg
+	hb.PublishEpochStats(p.opts.Obs, agg)
 	p.finRes = res
 	return res, nil
 }
