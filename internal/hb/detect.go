@@ -431,15 +431,10 @@ func (d *Detector) Result() *Result {
 	return &d.res
 }
 
-// publishEpochStats publishes the engine's end-of-pass gauges
-// (shadow.cells, shadow.depot_stacks) into Options.Obs; Result flushes
-// the counters (epoch.fastpath_hits, epoch.promotions).
-func (d *Detector) publishEpochStats() {
-	PublishEpochStats(d.opts.Obs, d.eng.Stats())
-}
-
-// PublishEpochStats sets the shadow.cells and shadow.depot_stacks
-// gauges from s; a nil registry makes it a no-op.
+// PublishEpochStats sets the end-of-pass gauges shadow.cells and
+// shadow.depot_stacks from s; a nil registry makes it a no-op. The
+// counters epoch.fastpath_hits and epoch.promotions are the engine's
+// own (shadow.Engine.Flush).
 func PublishEpochStats(reg *obs.Registry, s shadow.Stats) {
 	if reg == nil {
 		return
@@ -487,7 +482,7 @@ func Detect(log *trace.Log, opts Options) (*Result, error) {
 		return nil, err
 	}
 	d.PublishNearMisses()
-	d.publishEpochStats()
+	PublishEpochStats(opts.Obs, d.eng.Stats())
 	return d.Result(), nil
 }
 
@@ -508,6 +503,6 @@ func DetectDegraded(log *trace.Log, opts Options) (*Result, *Degradation, error)
 		return nil, nil, err
 	}
 	d.PublishNearMisses()
-	d.publishEpochStats()
+	PublishEpochStats(opts.Obs, d.eng.Stats())
 	return d.Result(), deg, nil
 }

@@ -99,11 +99,12 @@ func LocksString(locks []uint64) string {
 	return b.String()
 }
 
-// EvidenceState is the per-thread forensic bookkeeping both engines keep
-// in evidence mode: the last release/acquire references and the held
-// lockset. It deliberately mirrors the lockset detector's rule — only
-// OpLock/OpUnlock change lock ownership; other acquire/release ops (cas,
-// wait, fork, …) move the frontier but hold nothing.
+// EvidenceState is the per-thread forensic bookkeeping the batch detector
+// and the streaming clock engine keep in evidence mode: the last
+// release/acquire references and the held lockset. It deliberately
+// mirrors the lockset detector's rule — only OpLock/OpUnlock change lock
+// ownership; other acquire/release ops (cas, wait, fork, …) move the
+// frontier but hold nothing.
 type EvidenceState struct {
 	lastRel SyncRef
 	lastAcq SyncRef
@@ -274,8 +275,9 @@ const nearMissObsKeyCap = 64
 
 // PublishNearMisses publishes the rows' telemetry into reg (nil-safe):
 // the total counter plus one per-pair counter for up to nearMissObsKeyCap
-// pairs in sorted order. Both engines call it exactly once per pass, so
-// batch and streaming runs publish identical readings.
+// pairs in sorted order. The batch detector and the streaming pipeline
+// each call it exactly once per pass, so batch and streaming runs publish
+// identical readings.
 func PublishNearMisses(reg *obs.Registry, rows []NearMiss) {
 	if reg == nil || len(rows) == 0 {
 		return

@@ -403,3 +403,22 @@ func TestVCBasics(t *testing.T) {
 		t.Error("Clone shares storage")
 	}
 }
+
+// TestDetectEngineNames checks the deprecated Options.Engine: empty and
+// EngineEpoch select the one engine, anything else is an error.
+func TestDetectEngineNames(t *testing.T) {
+	for _, name := range []string{"", EngineEpoch} {
+		if _, err := Detect(randomLog(1), Options{SamplerBit: AllEvents, Engine: name}); err != nil {
+			t.Errorf("engine %q: %v", name, err)
+		}
+		if _, _, err := DetectDegraded(randomLog(1), Options{SamplerBit: AllEvents, Engine: name}); err != nil {
+			t.Errorf("engine %q, degraded: %v", name, err)
+		}
+	}
+	if _, err := Detect(randomLog(1), Options{SamplerBit: AllEvents, Engine: "vc"}); err == nil {
+		t.Error(`Detect accepted engine "vc"`)
+	}
+	if _, _, err := DetectDegraded(randomLog(1), Options{SamplerBit: AllEvents, Engine: "vc"}); err == nil {
+		t.Error(`DetectDegraded accepted engine "vc"`)
+	}
+}

@@ -15,8 +15,9 @@
 // through the same hb.Merger, the clock engine is the synchronization
 // half of hb.Detector verbatim, and each address's accesses reach
 // exactly one shard in replay order, where the same shadow.Engine that
-// backs hb.Detector judges them against the same clocks. A global dispatch ordinal restores the
-// replay-order race list when the shards' findings merge.
+// backs hb.Detector judges them against the same clocks. A global
+// dispatch ordinal restores the replay-order race list when the shards'
+// findings merge.
 package stream
 
 import (

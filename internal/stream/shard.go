@@ -59,7 +59,8 @@ type shard struct {
 
 // attachEngine gives this shard its access-history engine. The depot is
 // shared across all shards so race identities deduplicate globally; the
-// obs counters are shared too (atomic increments).
+// obs counters are shared too, and each shard flushes into them after
+// every batch.
 func (s *shard) attachEngine(depot *shadow.Depot, opts Options) {
 	so := shadow.Options{
 		Depot: depot,

@@ -95,6 +95,35 @@ func TestUnknownSampler(t *testing.T) {
 	}
 }
 
+// TestDetectEngineNames checks the deprecated engine name argument:
+// empty and "epoch" select the one engine, anything else is an error.
+func TestDetectEngineNames(t *testing.T) {
+	p, _ := Assemble("racy", racyProgram)
+	if _, err := p.Instrument(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := p.Run(Config{Sampler: "Full", LogTo: &buf}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := DetectObs(bytes.NewReader(buf.Bytes()), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"", "epoch"} {
+		got, err := DetectEngine(bytes.NewReader(buf.Bytes()), nil, nil, name)
+		if err != nil {
+			t.Fatalf("engine %q: %v", name, err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("engine %q: report differs from DetectObs", name)
+		}
+	}
+	if _, err := DetectEngine(bytes.NewReader(buf.Bytes()), nil, nil, "vc"); err == nil {
+		t.Error("engine \"vc\" accepted")
+	}
+}
+
 func TestExternalLogWriter(t *testing.T) {
 	p, _ := Assemble("racy", racyProgram)
 	if _, err := p.Instrument(); err != nil {

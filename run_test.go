@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -266,20 +265,6 @@ func TestGoldenRaceDigests(t *testing.T) {
 				}
 				if got := raceDigest(&sres.Result); got != c.digest {
 					t.Errorf("stream digest at %d shards %s, want %s", shards, got, c.digest)
-				}
-			}
-			if c.truncated {
-				// The public entry points must agree on the damaged bytes too.
-				want, _, err := DetectSalvaged(bytes.NewReader(data), nil, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, _, err := DetectStream(bytes.NewReader(data), nil, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("DetectStream report differs from DetectSalvaged on the truncated log")
 				}
 			}
 		})
